@@ -83,7 +83,7 @@ def test_fleet_replay_is_byte_identical(benchmark):
     a, b = first.to_json(), second.to_json()
     assert a == b
     parsed = json.loads(a)
-    assert parsed["schema"] == "fleet-result/v1"
+    assert parsed["schema"] == "fleet-result/v2"
     assert parsed["totals"]["arrivals"] >= TARGET_INVOCATIONS
 
 

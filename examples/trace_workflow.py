@@ -10,7 +10,7 @@ Chrome trace for chrome://tracing or https://ui.perfetto.dev.
 Run:  python examples/trace_workflow.py
 """
 
-from repro.analysis.tracing import render_gantt
+from repro import obs
 from repro.api import run
 
 
@@ -19,7 +19,8 @@ def main() -> None:
     record = result.record
     print(f"FINRA invocation: {record.latency_ns / 1e6:.2f} ms, "
           f"{record.result['total_violations']} violations\n")
-    print(render_gantt(result.tracer))
+    # the hub also holds the pre-warm invocation; chart the measured one
+    print(obs.render_gantt(result.telemetry, trace_id=result.trace_id))
     print("\nNote how the audit instances form one parallel band: "
           "their (de)serialization-free receives all map the same "
           "registered producer memory.")

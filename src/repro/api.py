@@ -31,9 +31,9 @@ figures computed either way agree to the nanosecond.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -41,9 +41,6 @@ from repro import obs
 from repro.platform.coordinator import InvocationRecord
 from repro.transfer.base import StateTransport
 from repro.transfer.registry import get_transport
-
-#: sentinel distinguishing "not passed" from every real value
-_UNSET = object()
 
 
 def workloads() -> list:
@@ -89,9 +86,8 @@ class RunConfig:
     duration_s: float = 10.0
     smoke: bool = False
     #: scale-up mechanism for fleet shards: ``"cold"``, ``"prewarm"`` or
-    #: ``"fork"`` (see :mod:`repro.fork`); None keeps the legacy model
-    #: and byte-identical fleet JSON
-    scale_up: Optional[str] = None
+    #: ``"fork"`` (see :mod:`repro.fork`)
+    scale_up: str = "cold"
 
     def replace(self, **changes) -> "RunConfig":
         """A copy with *changes* applied (frozen dataclasses are
@@ -156,7 +152,6 @@ class BaseRunResult:
         """Export the run's Chrome trace (requires telemetry); monitor
         alert transitions ride along as instant events."""
         obs.write_chrome_trace(self._require_telemetry(), path,
-                               tracer=getattr(self, "tracer", None),
                                monitor=getattr(self, "monitor", None))
 
     def triage(self, specs=None) -> Dict[str, Any]:
@@ -195,7 +190,6 @@ class RunResult(BaseRunResult):
     seed: int
     record: Optional[InvocationRecord] = None
     telemetry: Optional["obs.Telemetry"] = None
-    tracer: Any = None
     chaos_report: Any = None
     monitor: Optional["obs.FleetMonitor"] = None
     params: Dict[str, Any] = field(default_factory=dict)
@@ -298,7 +292,7 @@ def _resolve_monitor(monitor) -> Optional["obs.FleetMonitor"]:
     return monitor
 
 
-def run(workload: Union[str, RunConfig], _transport: Any = _UNSET,
+def run(workload: Union[str, RunConfig],
         *, transport: Union[str, StateTransport] = "rmmap",
         seed: int = 0, scale: Optional[float] = None,
         chaos: Optional[Dict[str, Any]] = None,
@@ -314,8 +308,7 @@ def run(workload: Union[str, RunConfig], _transport: Any = _UNSET,
     ``ml-training``, ``ml-prediction``, ``wordcount``) — or a
     :class:`RunConfig` carrying every knob at once.  *transport* is a
     registry name (see :func:`repro.transfer.list_transports`) or a
-    ready-made :class:`StateTransport`; it is keyword-only (the old
-    positional shape still works behind a :class:`DeprecationWarning`).
+    ready-made :class:`StateTransport`; it is keyword-only.
     *scale* shrinks the paper-scale inputs (default: the
     ``REPRO_BENCH_SCALE`` environment variable); *params* overrides
     individual workload knobs on top of the scaled defaults.
@@ -351,12 +344,6 @@ def run(workload: Union[str, RunConfig], _transport: Any = _UNSET,
     from repro.bench.figures_workflow import (_light_params,
                                               workflow_configs)
 
-    if _transport is not _UNSET:
-        warnings.warn(
-            "run(workload, transport) with a positional transport is "
-            "deprecated; pass transport=... or a RunConfig",
-            DeprecationWarning, stacklevel=2)
-        transport = _transport
     if isinstance(workload, RunConfig):
         cfg = workload
         workload = cfg.workload
@@ -392,6 +379,8 @@ def run(workload: Union[str, RunConfig], _transport: Any = _UNSET,
         hub.enable_lineage()
     if mon is not None:
         mon.attach(hub)
+    scope = obs.capture(hub) if hub is not None \
+        else contextlib.nullcontext()
     try:
         if chaos is not None:
             from repro.chaos.runner import run_chaos_workflow
@@ -399,7 +388,7 @@ def run(workload: Union[str, RunConfig], _transport: Any = _UNSET,
                                                **(transport_opts or {}))
             kwargs = dict(chaos)
             kwargs.setdefault("transport_factory", lambda: transport_obj)
-            with obs.capture(hub) if hub is not None else _noop():
+            with scope:
                 report = run_chaos_workflow(workload=workload, seed=seed,
                                             scale=scale, **kwargs)
             return RunResult(workload=workload,
@@ -413,22 +402,19 @@ def run(workload: Union[str, RunConfig], _transport: Any = _UNSET,
 
         transport_obj = _resolve_transport(transport,
                                            **(transport_opts or {}))
-        with obs.capture(hub) if hub is not None else _noop():
+        with scope:
             platform = ServerlessPlatform(n_machines=n_machines,
                                           rng=make_rng(seed))
-            tracer = platform.enable_tracing() if hub is not None else None
             workflow = builder()
             platform.deploy(workflow, transport_obj)
             if prewarm:
                 platform.prewarm(workflow.name, _light_params(merged))
-                if tracer is not None:
-                    tracer.clear()  # spans cover the measured invocation
             record = platform.run_once(workflow.name, merged)
         if hub is not None:
             obs.rollup_record(hub, record)
         return RunResult(workload=workload, transport=transport_obj.name,
                          seed=seed, record=record, telemetry=hub,
-                         tracer=tracer, monitor=mon, params=merged)
+                         monitor=mon, params=merged)
     finally:
         if mon is not None:
             mon.detach()
@@ -499,12 +485,3 @@ def run_fleet(spec=None, *, seed: int = 0, tenants=None,
             hub.enable_lineage()
     return _run_fleet(spec, hub=hub, monitor=mon)
 
-
-class _noop:
-    """Stand-in context manager when telemetry is off."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False

@@ -10,7 +10,7 @@ frame-leak audit that is the run's acceptance bar.
 
 from __future__ import annotations
 
-import warnings
+import contextlib
 from typing import Callable, List, Optional
 
 from repro.analysis.chaos import (ChaosReport, audit_leaked_frames,
@@ -41,14 +41,7 @@ def default_transport() -> RmmapTransport:
     return get_transport("rmmap-prefetch", rpc_fallback=True)
 
 
-#: old positional order, kept for the deprecation shim
-_POSITIONAL_ORDER = ("seed", "requests", "n_machines", "schedule",
-                     "transport_factory", "policy", "scale", "lease_ns",
-                     "grace_ns", "scan_interval_ns", "monitor")
-
-
-def run_chaos_workflow(workload="ml-prediction",
-                       *args,
+def run_chaos_workflow(workload="ml-prediction", *,
                        seed: int = 0,
                        requests: int = 6,
                        n_machines: int = 6,
@@ -80,70 +73,47 @@ def run_chaos_workflow(workload="ml-prediction",
     *workload* may also be a :class:`repro.api.RunConfig`: its
     ``workload`` / ``transport`` / ``seed`` / ``scale`` / ``telemetry``
     / ``monitor`` fields apply and its ``chaos`` dict supplies the
-    remaining keywords.  Positional arguments beyond *workload* are
-    deprecated (keyword-only surface).
+    remaining keywords.  Every argument but *workload* is keyword-only.
     """
-    if args:
-        warnings.warn(
-            "run_chaos_workflow positional arguments beyond workload "
-            "are deprecated; pass keywords or a RunConfig",
-            DeprecationWarning, stacklevel=2)
-        if len(args) > len(_POSITIONAL_ORDER):
-            raise TypeError(
-                f"run_chaos_workflow takes at most "
-                f"{1 + len(_POSITIONAL_ORDER)} positional arguments")
-        merged = {"seed": seed, "requests": requests,
-                  "n_machines": n_machines, "schedule": schedule,
-                  "transport_factory": transport_factory,
-                  "policy": policy, "scale": scale, "lease_ns": lease_ns,
-                  "grace_ns": grace_ns,
-                  "scan_interval_ns": scan_interval_ns,
-                  "monitor": monitor}
-        merged.update(zip(_POSITIONAL_ORDER, args))
-        return run_chaos_workflow(workload, **merged)
+    from repro import obs
+
+    knobs = {"seed": seed, "requests": requests, "n_machines": n_machines,
+             "schedule": schedule, "transport_factory": transport_factory,
+             "policy": policy, "scale": scale, "lease_ns": lease_ns,
+             "grace_ns": grace_ns, "scan_interval_ns": scan_interval_ns}
+    hub = obs.current()
     if not isinstance(workload, str):
-        from repro import obs
-        from repro.api import (RunConfig, _resolve_hub, _resolve_monitor)
+        from repro.api import RunConfig, _resolve_hub, _resolve_monitor
         if not isinstance(workload, RunConfig):
             raise TypeError(f"workload must be a name or RunConfig, "
                             f"got {workload!r}")
         cfg = workload
-        kwargs: dict = {"seed": cfg.seed, "scale": cfg.scale,
-                        "monitor": _resolve_monitor(cfg.monitor)}
         transport_obj = (get_transport(cfg.transport,
                                        **(cfg.transport_opts or {}))
                          if isinstance(cfg.transport, str)
                          else cfg.transport)
-        kwargs["transport_factory"] = lambda: transport_obj
-        kwargs.update(cfg.chaos or {})
-        hub = _resolve_hub(cfg.telemetry)
-        if hub is None and cfg.profile:
-            hub = obs.Telemetry()
+        knobs.update(seed=cfg.seed, scale=cfg.scale,
+                     transport_factory=lambda: transport_obj,
+                     monitor=_resolve_monitor(cfg.monitor))
+        knobs.update(cfg.chaos or {})
+        monitor = knobs.pop("monitor")
+        # the config's own hub (profile implies one) shadows an ambient one
+        hub = _resolve_hub(cfg.telemetry or cfg.profile) or hub
+        workload = cfg.workload
+    if hub is None and monitor is not None:
+        hub = obs.Telemetry()
+    with contextlib.ExitStack() as stack:
         if hub is not None:
-            with obs.capture(hub):
-                return run_chaos_workflow(cfg.workload, **kwargs)
-        return run_chaos_workflow(cfg.workload, **kwargs)
-    if monitor is not None:
-        from repro import obs
-        hub = obs.current()
-        if hub is None:
-            with obs.capture() as hub:
-                return run_chaos_workflow(
-                    workload, seed=seed, requests=requests,
-                    n_machines=n_machines, schedule=schedule,
-                    transport_factory=transport_factory, policy=policy,
-                    scale=scale, lease_ns=lease_ns, grace_ns=grace_ns,
-                    scan_interval_ns=scan_interval_ns, monitor=monitor)
-        monitor.attach(hub)
-        try:
-            return run_chaos_workflow(
-                workload, seed=seed, requests=requests,
-                n_machines=n_machines, schedule=schedule,
-                transport_factory=transport_factory, policy=policy,
-                scale=scale, lease_ns=lease_ns, grace_ns=grace_ns,
-                scan_interval_ns=scan_interval_ns)
-        finally:
-            monitor.detach()
+            stack.enter_context(obs.capture(hub))
+        if monitor is not None:
+            monitor.attach(hub)
+            stack.callback(monitor.detach)
+        return _run_chaos(workload, **knobs)
+
+
+def _run_chaos(workload: str, *, seed, requests, n_machines, schedule,
+               transport_factory, policy, scale, lease_ns, grace_ns,
+               scan_interval_ns) -> ChaosReport:
     from repro.bench.figures_workflow import (_light_params,
                                               workflow_configs)
     from repro.platform.cluster import ServerlessPlatform

@@ -26,9 +26,10 @@ flamegraph stacks to PATH + ".folded").
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from typing import Callable, Dict
+from typing import Any, Callable, Dict
 
 from repro.analysis.report import Table, format_ns
 
@@ -223,19 +224,22 @@ def _quickstart() -> None:
     print(f"RMMAP end-to-end speedup over messaging: {speedup:.2f}x")
 
 
+def _chaos_seed() -> int:
+    raw = os.environ.get("REPRO_CHAOS_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        sys.exit(f"repro: REPRO_CHAOS_SEED must be an integer, "
+                 f"got {raw!r}")
+
+
 def _chaos(workload: str) -> Callable[[], None]:
     """A ``chaos-<workload>`` entry: the Fig-14 workflow under a seeded
     fault schedule (seed via REPRO_CHAOS_SEED, default 0)."""
     def run() -> None:
         from repro.chaos import run_chaos_workflow
-        raw = os.environ.get("REPRO_CHAOS_SEED", "0")
-        try:
-            seed = int(raw)
-        except ValueError:
-            sys.exit(f"repro: REPRO_CHAOS_SEED must be an integer, "
-                     f"got {raw!r}")
-        report = run_chaos_workflow(workload, seed=seed)
-        print(report.render())
+        print(run_chaos_workflow(workload,
+                                 seed=_chaos_seed()).render())
     run.__doc__ = (f"Fig-14 {workload} workflow under a seeded "
                    f"fault schedule.")
     return run
@@ -290,6 +294,36 @@ _COMMANDS = {
 }
 
 
+def _dump_json(data: Any, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _emit(args, data: Any, render: Callable[[Any], str]) -> int:
+    """The shared tail of the report commands: write *data* to
+    ``--json-out`` when given, then print it as JSON or as rendered
+    text per ``--format``."""
+    if args.json_out:
+        _dump_json(data, args.json_out)
+        print(f"wrote {args.json_out}", file=sys.stderr)
+    if args.format == "json":
+        print(json.dumps(data, sort_keys=True, indent=2))
+    else:
+        print(render(data))
+    return 0
+
+
+def _list(args) -> int:
+    """Print every experiment and command with a one-line description."""
+    width = max(map(len, list(EXPERIMENTS) + list(_COMMANDS)))
+    for name in sorted(EXPERIMENTS):
+        print(f"{name:<{width}}  {_describe(EXPERIMENTS[name])}")
+    for name in sorted(_COMMANDS):
+        print(f"{name:<{width}}  {_COMMANDS[name]}")
+    return 0
+
+
 def _bench(args) -> int:
     """Run the benchmark matrix and persist a snapshot."""
     from repro.bench import snapshot as snap
@@ -307,12 +341,12 @@ def _bench(args) -> int:
 
 def _bench_check(args) -> int:
     """Gate a candidate snapshot against the committed baseline."""
-    import json
-
     from repro.bench import regression
 
+    tolerance = args.tolerance if args.tolerance is not None \
+        else regression.DEFAULT_TOLERANCE
     report = regression.check_paths(args.baseline, args.candidate,
-                                    default_tolerance=args.tolerance)
+                                    default_tolerance=tolerance)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -322,8 +356,6 @@ def _bench_check(args) -> int:
 
 def _diff(args) -> int:
     """Root-cause two snapshots: where did the nanoseconds move?"""
-    import json
-
     from repro.obs.diff import diff_snapshot_paths, render_diff
 
     report = diff_snapshot_paths(args.baseline, args.candidate)
@@ -342,20 +374,13 @@ def _monitor(args) -> int:
     per-(tenant, workflow, transport) latency/availability series and
     the burn-rate alert timeline, all in simulated time.
     """
-    import json
-
     from repro import obs
     from repro.chaos.runner import run_chaos_workflow
 
     workload = args.workload[0] if args.workload else "wordcount"
-    raw = os.environ.get("REPRO_CHAOS_SEED", "0")
-    try:
-        seed = int(raw)
-    except ValueError:
-        sys.exit(f"repro: REPRO_CHAOS_SEED must be an integer, "
-                 f"got {raw!r}")
     monitor = obs.FleetMonitor()
-    report = run_chaos_workflow(workload, seed=seed, monitor=monitor)
+    report = run_chaos_workflow(workload, seed=_chaos_seed(),
+                                monitor=monitor)
     if args.format == "json":
         print(json.dumps(monitor.snapshot(), indent=2, sort_keys=True))
     else:
@@ -369,7 +394,8 @@ def _monitor(args) -> int:
 
 def _fleet_spec(args):
     """Assemble the FleetSpec the fleet/triage commands share."""
-    from repro.fleet import FleetSpec, default_tenants, smoke_spec
+    from repro.fleet import (FleetSpec, ScaleUpConfig, default_tenants,
+                             smoke_spec)
 
     seed = args.seed if args.seed is not None else 0
     if args.smoke:
@@ -378,9 +404,7 @@ def _fleet_spec(args):
         spec = FleetSpec(tenants=default_tenants(args.tenants),
                          seed=seed, n_shards=args.shards,
                          duration_s=args.duration)
-    if args.scale_up is not None:
-        from repro.fork import ScaleUpConfig
-        spec.scale_up = ScaleUpConfig.from_kind(args.scale_up)
+    spec.scale_up = ScaleUpConfig.from_kind(args.scale_up)
     for item in args.fail_shard or ():
         sid, _, at_s = item.partition("@")
         if not sid or not at_s:
@@ -395,35 +419,20 @@ def _fork_bench(args) -> int:
     mechanism (cold / prewarm / remote-fork) and compare worst-tenant
     p99 latency and resident memory footprint.  Deterministic: same
     seed → byte-identical JSON."""
-    import json
-
     from repro.fork.bench import fork_bench, render_bench
 
     seed = args.seed if args.seed is not None else 0
-    report = fork_bench(seed=seed, duration_s=args.duration)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json_out}", file=sys.stderr)
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(render_bench(report))
-    return 0
+    return _emit(args, fork_bench(seed=seed, duration_s=args.duration),
+                 render_bench)
 
 
 def _write_triage(result, path: str) -> None:
     """Write the triage report as JSON to *path* and text to
     *path*.txt."""
-    import json
-
     from repro.obs import render_triage
 
     report = result.triage()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _dump_json(report, path)
     with open(path + ".txt", "w", encoding="utf-8") as fh:
         fh.write(render_triage(report))
         fh.write("\n")
@@ -438,17 +447,10 @@ def _fleet(args) -> int:
     from repro.api import run_fleet
 
     result = run_fleet(_fleet_spec(args))
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(result.to_json(include_wall=args.include_wall))
-            fh.write("\n")
-        print(f"wrote {args.json_out}", file=sys.stderr)
+    _emit(args, result.to_dict(include_wall=args.include_wall),
+          lambda _: result.render())
     if args.triage_out:
         _write_triage(result, args.triage_out)
-    if args.format == "json":
-        print(result.to_json(include_wall=args.include_wall))
-    else:
-        print(result.render())
     return 0
 
 
@@ -456,25 +458,13 @@ def _triage(args) -> int:
     """Run a fleet and auto-triage its SLO alerts: exemplar traces,
     saturation-timeline threshold crossings and injected faults fold
     into one ranked root-cause report per alert."""
-    import json
-
     from repro.api import run_fleet
     from repro.obs import render_triage
 
     result = run_fleet(_fleet_spec(args))
-    report = result.triage()
     if args.triage_out:
         _write_triage(result, args.triage_out)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json_out}", file=sys.stderr)
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(render_triage(report))
-    return 0
+    return _emit(args, result.triage(), render_triage)
 
 
 #: transports the ``lineage`` command compares when none are given —
@@ -487,8 +477,6 @@ def _lineage(args) -> int:
     report bytes moved vs touched, transfer amplification, prefetch
     waste and duplicate pulls.  Deterministic: same seed + scale →
     byte-identical JSON."""
-    import json
-
     from repro.api import run
 
     workload = args.workload[0] if args.workload else "wordcount"
@@ -503,16 +491,8 @@ def _lineage(args) -> int:
         reports[name] = result.lineage()
     payload = {"workload": workload, "seed": seed, "scale": scale,
                "transports": reports}
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json_out}", file=sys.stderr)
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        from repro.analysis.report import Table
 
+    def render(_payload) -> str:
         table = Table(
             f"lineage: {workload} seed={seed} scale={scale:g}",
             ["transport", "moved", "touched", "amplification",
@@ -525,8 +505,9 @@ def _lineage(args) -> int:
                 "n/a" if amp is None else f"{amp:.4f}",
                 totals["prefetch_waste_bytes"],
                 totals["duplicate_pulls"])
-        print(table.render())
-    return 0
+        return table.render()
+
+    return _emit(args, payload, render)
 
 
 def _export(args) -> int:
@@ -554,6 +535,22 @@ def _export(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+#: name → handler for the commands in ``_COMMANDS`` (``all`` runs through
+#: the EXPERIMENTS table in :func:`main`); each takes the parsed args
+_HANDLERS: Dict[str, Callable[[Any], int]] = {
+    "list": _list,
+    "bench": _bench,
+    "bench-check": _bench_check,
+    "diff": _diff,
+    "monitor": _monitor,
+    "fleet": _fleet,
+    "triage": _triage,
+    "fork-bench": _fork_bench,
+    "lineage": _lineage,
+    "export": _export,
+}
 
 
 def main(argv=None) -> int:
@@ -612,10 +609,8 @@ def main(argv=None) -> int:
     parser.add_argument("--duration", type=float, default=10.0,
                         help="fleet: simulated seconds of traffic")
     parser.add_argument("--scale-up", choices=("cold", "prewarm", "fork"),
-                        default=None, dest="scale_up",
-                        help="fleet/triage: pod scale-up mechanism "
-                             "(default: legacy cold-start model with "
-                             "unchanged JSON schema)")
+                        default="cold", dest="scale_up",
+                        help="fleet/triage: pod scale-up mechanism")
     parser.add_argument("--fail-shard", action="append", default=None,
                         metavar="SHARD@SECONDS",
                         help="fleet/triage: kill SHARD at the given "
@@ -642,38 +637,12 @@ def main(argv=None) -> int:
         os.environ["REPRO_SEED"] = str(args.seed)
         os.environ["REPRO_CHAOS_SEED"] = str(args.seed)
 
-    if args.experiment == "list":
-        width = max(map(len, list(EXPERIMENTS) + list(_COMMANDS)))
-        for name in sorted(EXPERIMENTS):
-            print(f"{name:<{width}}  {_describe(EXPERIMENTS[name])}")
-        for name in sorted(_COMMANDS):
-            print(f"{name:<{width}}  {_COMMANDS[name]}")
-        return 0
-    if args.experiment == "bench":
-        return _bench(args)
-    if args.experiment == "bench-check":
-        if args.candidate is None:
-            parser.error("bench-check requires --candidate PATH")
-        if args.tolerance is None:
-            from repro.bench.regression import DEFAULT_TOLERANCE
-            args.tolerance = DEFAULT_TOLERANCE
-        return _bench_check(args)
-    if args.experiment == "diff":
-        if args.candidate is None:
-            parser.error("diff requires --candidate PATH")
-        return _diff(args)
-    if args.experiment == "monitor":
-        return _monitor(args)
-    if args.experiment == "fleet":
-        return _fleet(args)
-    if args.experiment == "triage":
-        return _triage(args)
-    if args.experiment == "fork-bench":
-        return _fork_bench(args)
-    if args.experiment == "lineage":
-        return _lineage(args)
-    if args.experiment == "export":
-        return _export(args)
+    if args.experiment in ("bench-check", "diff") \
+            and args.candidate is None:
+        parser.error(f"{args.experiment} requires --candidate PATH")
+    handler = _HANDLERS.get(args.experiment)
+    if handler is not None:
+        return handler(args)
 
     hub = None
     if args.trace_out is not None or args.profile_out is not None:
@@ -703,8 +672,6 @@ def main(argv=None) -> int:
 def _write_profile(hub, path: str) -> None:
     """Critical-path reports for every trace in *hub* → ``path`` (JSON);
     folded flamegraph stacks, trace-id-prefixed, → ``path + '.folded'``."""
-    import json
-
     from repro import obs
 
     ids = obs.trace_ids(hub)
@@ -720,9 +687,7 @@ def _write_profile(hub, path: str) -> None:
         root = obs.build_span_tree(hub, trace_id=trace_id)
         for line in obs.folded_stacks(root).splitlines():
             folded_lines.append(f"{trace_id};{line}")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(reports, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_json(reports, path)
     with open(path + ".folded", "w", encoding="utf-8") as fh:
         fh.write("\n".join(folded_lines) + "\n")
     print(f"wrote critical-path profile to {path} "

@@ -35,14 +35,14 @@ from repro import obs
 from repro.api import BaseRunResult as _BaseRunResult
 from repro.fleet.admission import AdmissionController
 from repro.fleet.shard import ShardedCoordinator
-from repro.fork.policy import ScaleUpConfig
+from repro.fork.policy import SCALE_UP_KINDS, ScaleUpConfig
 from repro.fleet.traffic import TenantSpec, default_tenants
 from repro.obs.monitor import FleetMonitor, PercentileSketch
 from repro.sim.engine import Engine, Timeout
 from repro.sim.rng import SeededRng, make_rng
 
 #: FleetResult serialization schema tag.
-RESULT_SCHEMA = "fleet-result/v1"
+RESULT_SCHEMA = "fleet-result/v2"
 
 _SECOND_NS = 1_000_000_000
 
@@ -119,7 +119,8 @@ class ServiceProfile:
         from repro.api import run as api_run
         pair_ns: Dict[Tuple[str, str], int] = {}
         for workload, transport in sorted(set(pairs)):
-            result = api_run(workload, transport, seed=seed, scale=scale)
+            result = api_run(workload, transport=transport, seed=seed,
+                             scale=scale)
             pair_ns[(workload, transport)] = result.latency_ns
         return cls(pair_ns=pair_ns, sigma=sigma, kind="calibrated")
 
@@ -154,11 +155,8 @@ class FleetSpec:
     cold_start_ms: float = 50.0
     autoscale_interval_ms: float = 100.0
     profile: ServiceProfile = field(default_factory=ServiceProfile)
-    #: how shards add pods on scale-up (see :mod:`repro.fork`):
-    #: ``None`` keeps the legacy cold-start-only model AND the legacy
-    #: result JSON byte-for-byte — every scale-up key below is emitted
-    #: only when this knob is set
-    scale_up: Optional[ScaleUpConfig] = None
+    #: how shards add pods on scale-up (see :mod:`repro.fork`)
+    scale_up: ScaleUpConfig = ScaleUpConfig()
     #: ``(at_s, shard_id)`` chaos points: kill that shard at that instant
     shard_failures: List[Tuple[float, str]] = field(default_factory=list)
     slos: Optional[Sequence[Any]] = None  # default: obs.slo.DEFAULT_SLOS
@@ -182,7 +180,7 @@ class FleetSpec:
                    * self.duration_s)
 
     def to_dict(self) -> Dict[str, Any]:
-        out = {
+        return {
             "seed": self.seed,
             "duration_s": self.duration_s,
             "drain_s": self.drain_s,
@@ -198,10 +196,8 @@ class FleetSpec:
             "shard_failures": [[at_s, sid]
                                for at_s, sid in self.shard_failures],
             "tenants": [t.to_dict() for t in self.tenants],
+            "scale_up": self.scale_up.to_dict(),
         }
-        if self.scale_up is not None:
-            out["scale_up"] = self.scale_up.to_dict()
-        return out
 
 
 def smoke_spec(seed: int = 0, n_tenants: int = 3, n_shards: int = 2,
@@ -440,6 +436,7 @@ def _collect_result(spec: FleetSpec, coord: ShardedCoordinator,
             "mean_rate_rps": round(tenant.arrivals.mean_rate_rps(), 6),
         })
     stats = coord.stats(sim_end_ns)
+    shards = list(coord.shards.values())
     totals = {
         "arrivals": coord.submitted + admission.rejected,
         "submitted": coord.submitted,
@@ -449,20 +446,15 @@ def _collect_result(spec: FleetSpec, coord: ShardedCoordinator,
         "inflight_at_end": (coord.submitted - coord.completed
                             - coord.failed),
         "observed": mon.observed,
-    }
-    if spec.scale_up is not None:
-        shards = list(coord.shards.values())
-        starts: Dict[str, int] = {}
-        for shard in shards:
-            for mode, n in shard.starts.items():
-                starts[mode] = starts.get(mode, 0) + n
-        totals["starts"] = dict(sorted(starts.items()))
-        totals["frames"] = {
+        "starts": {mode: sum(s.starts[mode] for s in shards)
+                   for mode in sorted(SCALE_UP_KINDS)},
+        "frames": {
             "resident": sum(s.resident_frames() for s in shards),
             "peak": sum(s.peak_frames for s in shards),
             "mean": round(sum(s.mean_frames(sim_end_ns)
                               for s in shards), 2),
-        }
+        },
+    }
     events = hub.counter("sim", "sim.engine", "events.dispatched")
     invocations = coord.completed + coord.failed
     records = hub.records

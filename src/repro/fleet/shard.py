@@ -63,7 +63,7 @@ class CoordinatorShard:
 
     def __init__(self, engine: Engine, shard_id: str, pods: int = 2,
                  queue_limit: int = 64,
-                 scale_up: Optional[ScaleUpConfig] = None):
+                 scale_up: ScaleUpConfig = ScaleUpConfig()):
         if pods < 1:
             raise ValueError("a shard needs at least one pod")
         if queue_limit < 0:
@@ -72,9 +72,7 @@ class CoordinatorShard:
         self.shard_id = str(shard_id)
         self.pods = int(pods)
         self.queue_limit = int(queue_limit)
-        #: the scale-up mechanism model (see :mod:`repro.fork`);
-        #: ``None`` keeps the legacy cold-start-only accounting and
-        #: leaves every stats/JSON schema byte-identical
+        #: the scale-up mechanism model (see :mod:`repro.fork`)
         self.scale_up = scale_up
         self.alive = True
         self.inflight = 0
@@ -99,10 +97,11 @@ class CoordinatorShard:
         self.starts: Dict[str, int] = {SCALE_UP_COLD: 0,
                                        SCALE_UP_PREWARM: 0,
                                        SCALE_UP_FORK: 0}
-        # resident-frame integral (ns * frames) — only meaningful (and
-        # only accumulated) when a scale_up model prices pods
+        # frames pinned by the live pods, kept as a running total so
+        # _account stays O(1), and their integral (ns * frames)
+        self._frames = scale_up.frames_for(SCALE_UP_COLD) * int(pods)
         self._frames_ns = 0
-        self.peak_frames = self.resident_frames()
+        self.peak_frames = self._frames
         # inflight invocation processes, interrupted on shard failure
         self._procs: List[Process] = []
 
@@ -113,17 +112,14 @@ class CoordinatorShard:
         if dt > 0:
             self._busy_ns += min(self.inflight, self.pods) * dt
             self._pods_ns += self.pods * dt
-            if self.scale_up is not None:
-                self._frames_ns += self.resident_frames() * dt
+            self._frames_ns += self._frames * dt
             self._last_ns = now_ns
 
     def resident_frames(self) -> int:
         """Frames currently pinned by this shard's pods: full footprint
         for cold/prewarmed pods, the pulled working set for fork-backed
         ones (they demand-page the rest from their source)."""
-        if self.scale_up is None:
-            return 0
-        return sum(self.scale_up.frames_for(m) for m in self.pod_modes)
+        return self._frames
 
     def mean_frames(self, now_ns: int) -> float:
         """Time-averaged resident frames since the shard was created."""
@@ -155,26 +151,27 @@ class CoordinatorShard:
             return
         self._account(now_ns)
         grew = n - self.pods
+        frames_for = self.scale_up.frames_for
         if grew > 0:
             self.pod_modes.extend([mode] * grew)
             self.starts[mode] = self.starts.get(mode, 0) + grew
+            self._frames += frames_for(mode) * grew
         else:
+            self._frames -= sum(frames_for(m) for m in self.pod_modes[n:])
             del self.pod_modes[n:]
         self.pods = n
         if n > self.peak_pods:
             self.peak_pods = n
-        frames = self.resident_frames()
-        if frames > self.peak_frames:
-            self.peak_frames = frames
+        if self._frames > self.peak_frames:
+            self.peak_frames = self._frames
         hub = _telemetry()
         if hub is not None:
             hub.gauge(self.shard_id, FLEET_LAYER, "pods.provisioned", n)
-            if self.scale_up is not None:
-                hub.gauge(self.shard_id, FLEET_LAYER,
-                          "frames.resident", frames)
-                if grew > 0 and mode == SCALE_UP_FORK:
-                    hub.count(self.shard_id, FLEET_LAYER,
-                              "pods.fork_starts", grew)
+            hub.gauge(self.shard_id, FLEET_LAYER, "frames.resident",
+                      self._frames)
+            if grew > 0 and mode == SCALE_UP_FORK:
+                hub.count(self.shard_id, FLEET_LAYER,
+                          "pods.fork_starts", grew)
         self._wake(now_ns)
 
     # -- slot protocol ---------------------------------------------------------
@@ -257,7 +254,8 @@ class CoordinatorShard:
     # -- read-back -------------------------------------------------------------
 
     def stats(self, now_ns: Optional[int] = None) -> Dict[str, Any]:
-        out = {
+        at = self.engine.now if now_ns is None else now_ns
+        return {
             "shard": self.shard_id,
             "alive": self.alive,
             "pods": self.pods,
@@ -271,18 +269,13 @@ class CoordinatorShard:
             "failed": self.failed,
             "utilization": round(self.utilization(now_ns), 6),
             "died_ns": self.died_ns,
-        }
-        if self.scale_up is not None:
-            # only under an explicit scale-up model: the legacy schema
-            # must stay byte-identical when the knob is off
-            at = self.engine.now if now_ns is None else now_ns
-            out["starts"] = dict(self.starts)
-            out["frames"] = {
-                "resident": self.resident_frames(),
+            "starts": dict(self.starts),
+            "frames": {
+                "resident": self._frames,
                 "peak": self.peak_frames,
                 "mean": round(self.mean_frames(at), 2),
-            }
-        return out
+            },
+        }
 
 
 class ShardAutoscaler:
@@ -306,7 +299,7 @@ class ShardAutoscaler:
                  cold_start_ns: int = 50_000_000,
                  interval_ns: int = 100_000_000,
                  idle_intervals: int = 3,
-                 scale_up: Optional[ScaleUpConfig] = None):
+                 scale_up: ScaleUpConfig = ScaleUpConfig()):
         if min_pods < 1 or max_pods < min_pods:
             raise ValueError("need 1 <= min_pods <= max_pods")
         if target_concurrency <= 0 or headroom <= 0:
@@ -333,19 +326,7 @@ class ShardAutoscaler:
     def _static_pool(self) -> bool:
         """Provisioned concurrency: the prewarm mechanism holds
         ``max_pods`` from the start and never scales."""
-        return self.scale_up is not None \
-            and self.scale_up.kind == SCALE_UP_PREWARM
-
-    def _scale_up_delay_ns(self) -> int:
-        if self.scale_up is None:
-            return self.cold_start_ns
-        return self.scale_up.scale_up_delay_ns(self.cold_start_ns)
-
-    def _scale_up_mode(self) -> str:
-        if self.scale_up is None:
-            return SCALE_UP_COLD
-        return SCALE_UP_FORK if self.scale_up.kind == SCALE_UP_FORK \
-            else SCALE_UP_COLD
+        return self.scale_up.kind == SCALE_UP_PREWARM
 
     def start(self) -> Process:
         if self._static_pool and self.shard.pods < self.max_pods:
@@ -373,8 +354,9 @@ class ShardAutoscaler:
             self._want_down = 0
             if desired > self._pending_up:
                 self._pending_up = desired
-                self.engine.call_at(now + self._scale_up_delay_ns(),
-                                    self._booted(desired))
+                delay_ns = self.scale_up.scale_up_delay_ns(
+                    self.cold_start_ns)
+                self.engine.call_at(now + delay_ns, self._booted(desired))
         elif desired < self.shard.pods:
             self._want_down += 1
             if self._want_down >= self.idle_intervals:
@@ -390,9 +372,9 @@ class ShardAutoscaler:
                 self._pending_up = 0
             if not self.shard.alive or target <= self.shard.pods:
                 return
+            # a prewarm pool never gets here, so the kind is cold or fork
             self.shard.set_pods(min(target, self.max_pods),
-                                self.engine.now,
-                                mode=self._scale_up_mode())
+                                self.engine.now, mode=self.scale_up.kind)
             self.scale_ups += 1
             if self._pending_up <= self.shard.pods:
                 self._pending_up = 0
@@ -430,7 +412,7 @@ class ShardedCoordinator:
                  autoscale_interval_ns: int = 100_000_000,
                  vnodes: int = 64,
                  shard_ids: Optional[Iterable[str]] = None,
-                 scale_up: Optional[ScaleUpConfig] = None):
+                 scale_up: ScaleUpConfig = ScaleUpConfig()):
         if shard_ids is None:
             if n_shards < 1:
                 raise ValueError("need at least one shard")

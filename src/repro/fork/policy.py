@@ -23,7 +23,6 @@ from repro.kernel.kernel import PT_EAGER, PT_ONDEMAND
 
 #: Platform fork-policy modes.
 MODE_AUTO = "auto"    # fork whenever a live source exists, else cold
-MODE_FORK = "fork"    # like auto (fork is already opt-in via enable_fork)
 MODE_COLD = "cold"    # never fork; the policy-off baseline
 
 #: Fleet scale-up mechanisms.
@@ -52,7 +51,7 @@ class ForkPolicy:
     rpc_fallback: bool = True
 
     def __post_init__(self):
-        if self.mode not in (MODE_AUTO, MODE_FORK, MODE_COLD):
+        if self.mode not in (MODE_AUTO, MODE_COLD):
             raise ValueError(f"unknown fork mode {self.mode!r}")
         if self.page_table_mode not in (PT_EAGER, PT_ONDEMAND):
             raise ValueError(
@@ -61,7 +60,7 @@ class ForkPolicy:
             raise ValueError("working_set_pages must be >= 0")
 
     def allows_fork(self) -> bool:
-        return self.mode in (MODE_AUTO, MODE_FORK)
+        return self.mode == MODE_AUTO
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ class ScaleUpConfig:
     the MITOSIS trade the fork-bench experiment quantifies.
     """
 
-    kind: str = SCALE_UP_FORK
+    kind: str = SCALE_UP_COLD
     #: resident frames of a fully-booted pod (128 MB at 4 KB pages)
     pod_frames: int = 32768
     #: initial resident frames of a fork-backed pod (2 MB working set)

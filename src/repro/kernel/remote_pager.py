@@ -21,7 +21,7 @@ from repro.mem.layout import AddressRange, page_number
 from repro.mem.pagetable import PTE, PTE_COW, PTE_PRESENT
 from repro.mem.vma import VMA
 from repro.net.rdma import QueuePair, ReadRequest
-from repro.obs.lineage import current_lineage as _lineage
+from repro.obs.telemetry import current as _telemetry
 from repro.units import PAGE_SIZE, transfer_time_ns
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -138,7 +138,8 @@ class RemoteVMA(VMA):
     def handle_fault(self, space: "AddressSpace", vpn: int,
                      write: bool) -> PTE:
         space.ledger.charge(space.cost.page_fault_ns, "remote-fault")
-        lin = _lineage()
+        hub = _telemetry()
+        lin = hub.lineage if hub is not None else None
         pte0, regions0 = self._pte_marks(lin)
         fallback0 = self.fallback_faults
         remote_pfn = self._ensure_pte(vpn)
@@ -235,7 +236,8 @@ class RemoteVMA(VMA):
         skipped; addresses outside the mapping raise
         :class:`SegmentationFault` (the producer sent a bogus page list).
         """
-        lin = _lineage()
+        hub = _telemetry()
+        lin = hub.lineage if hub is not None else None
         pte0, regions0 = self._pte_marks(lin)
         fallback0 = self.fallback_faults
         wanted: List[int] = []

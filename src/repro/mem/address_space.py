@@ -11,7 +11,6 @@ from repro.mem.pagetable import (PTE, PTE_PRESENT, PTE_WRITE,
                                  PageTable)
 from repro.mem.physical import PhysicalMemory
 from repro.mem.vma import VMA
-from repro.obs.lineage import current_lineage as _lineage
 from repro.obs.telemetry import current as _telemetry
 from repro.sim.ledger import Ledger
 from repro.units import PAGE_SIZE, CostModel, DEFAULT_COST_MODEL
@@ -73,9 +72,9 @@ class AddressSpace:
             if free_frames:
                 self.physical.put(pte.pfn)
         vma.on_unmap(self)
-        lin = _lineage()
-        if lin is not None:
-            lin.vma_unmapped(self.name, vma.name)
+        hub = _telemetry()
+        if hub is not None and hub.lineage is not None:
+            hub.lineage.vma_unmapped(self.name, vma.name)
 
     def find_vma(self, vaddr: int) -> Optional[VMA]:
         for vma in self._vmas:
@@ -133,9 +132,9 @@ class AddressSpace:
 
     def read(self, vaddr: int, length: int) -> bytes:
         """Read *length* bytes, crossing page boundaries as needed."""
-        lin = _lineage()
-        if lin is not None:
-            lin.touched(self.name, vaddr, length)
+        hub = _telemetry()
+        if hub is not None and hub.lineage is not None:
+            hub.lineage.touched(self.name, vaddr, length)
         out = bytearray()
         while length > 0:
             pte = self.translate(vaddr)
@@ -148,9 +147,9 @@ class AddressSpace:
 
     def write(self, vaddr: int, data: bytes) -> None:
         """Write *data*, breaking CoW and crossing pages as needed."""
-        lin = _lineage()
-        if lin is not None:
-            lin.touched(self.name, vaddr, len(data))
+        hub = _telemetry()
+        if hub is not None and hub.lineage is not None:
+            hub.lineage.touched(self.name, vaddr, len(data))
         pos = 0
         remaining = len(data)
         while remaining > 0:

@@ -4,8 +4,7 @@ Counters, gauges, log-binned histograms, structured events and spans from
 every layer of the simulated stack (engine, memory, RDMA/RPC, kernel,
 platform, chaos), keyed by ``(machine, layer, name)``, at zero simulated
 cost.  Exporters serialize a hub to JSON, CSV, or Chrome trace-event
-format (loadable in Perfetto), merging spans from the existing
-:class:`~repro.analysis.tracing.Tracer`.  On top of the hub sit the
+format (loadable in Perfetto).  On top of the hub sit the
 fleet monitor (:mod:`repro.obs.monitor` — windowed percentile sketches,
 per-tenant series, SLO burn-rate alerting in simulated time) and the
 run differ (:mod:`repro.obs.diff` — ranked root-cause reports between
@@ -16,7 +15,7 @@ Quick use::
     from repro import obs
 
     with obs.capture() as hub:
-        result = repro.api.run("wordcount", "rmmap", seed=1)
+        result = repro.api.run("wordcount", transport="rmmap", seed=1)
     obs.write_chrome_trace(hub, "trace.json")
 
 See ``docs/observability.md`` for the metric naming scheme.
@@ -29,12 +28,11 @@ from repro.obs.export import (to_chrome_trace, to_chrome_trace_json,
                               to_csv, to_json, to_prom_text,
                               write_chrome_trace, write_csv, write_json,
                               write_prom)
-from repro.obs.lineage import (LINEAGE_SCHEMA, LineageTracker,
-                               current_lineage)
+from repro.obs.lineage import LINEAGE_SCHEMA, LineageTracker
 from repro.obs.profile import (PathSegment, SpanNode, attribute,
                                build_span_tree, critical_path,
                                critical_path_report, folded_stacks,
-                               parse_folded, render_report,
+                               parse_folded, render_gantt, render_report,
                                sampling_diagnostic, trace_ids)
 from repro.obs.rollup import (TRANSFER_LAYER, rollup_ledger,
                               rollup_record)
@@ -70,7 +68,6 @@ __all__ = [
     "write_prom",
     "LINEAGE_SCHEMA",
     "LineageTracker",
-    "current_lineage",
     "TRANSFER_LAYER",
     "rollup_ledger",
     "rollup_record",
@@ -82,6 +79,7 @@ __all__ = [
     "critical_path_report",
     "folded_stacks",
     "parse_folded",
+    "render_gantt",
     "render_report",
     "sampling_diagnostic",
     "trace_ids",

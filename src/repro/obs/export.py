@@ -4,8 +4,7 @@ The Chrome export targets the `trace-event format
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
 understood by Perfetto / ``chrome://tracing``:
 
-* hub spans and (optionally) :class:`~repro.analysis.tracing.Tracer` spans
-  become complete ``"X"`` events;
+* hub spans become complete ``"X"`` events;
 * counter/gauge time series become ``"C"`` counter tracks;
 * structured events become instant ``"i"`` events.
 
@@ -156,13 +155,9 @@ def _us(ns: int) -> float:
     return ns / 1000.0
 
 
-def to_chrome_trace(hub: Telemetry, tracer=None,
-                    monitor=None) -> Dict[str, Any]:
-    """The hub (plus an optional span Tracer) as a trace-event dict.
+def to_chrome_trace(hub: Telemetry, monitor=None) -> Dict[str, Any]:
+    """The hub as a trace-event dict.
 
-    ``tracer`` may be an :class:`~repro.analysis.tracing.Tracer` whose
-    finished spans are merged in under the ``platform`` layer — the paper
-    figures' existing span source rides along in the same timeline.
     ``monitor`` (a :class:`~repro.obs.monitor.FleetMonitor`) adds its
     alert transitions as process-scoped instant events on a ``cluster``
     row, so SLO firings line up against spans in Perfetto.  Events are
@@ -193,14 +188,6 @@ def to_chrome_trace(hub: Telemetry, tracer=None,
 
     body: List[Dict[str, Any]] = []
 
-    def flow(flow_id: int, parent_loc: Dict[str, Any],
-             child_loc: Dict[str, Any]) -> None:
-        """One parent→child arrow: a "s"/"f" pair sharing *flow_id*."""
-        body.append({"ph": "s", "name": "causal", "cat": "flow",
-                     "id": flow_id, **parent_loc})
-        body.append({"ph": "f", "name": "causal", "cat": "flow",
-                     "bp": "e", "id": flow_id, **child_loc})
-
     by_id: Dict[int, Dict[str, Any]] = {}
     for span in hub.spans:
         sid = span.get("span_id")
@@ -225,44 +212,22 @@ def to_chrome_trace(hub: Telemetry, tracer=None,
         })
         parent = by_id.get(span.get("parent_id"))
         if parent is not None:
-            # anchor the arrow tail inside the parent's interval
+            # one parent→child arrow: an "s"/"f" pair sharing the
+            # child's span id, its tail anchored inside the parent's
+            # interval
             tail_ts = min(max(span["start_ns"], parent["start_ns"]),
                           parent["end_ns"])
-            flow(span["span_id"],
-                 {"pid": pid_of(parent["machine"]),
-                  "tid": tid_of(parent["machine"], parent["layer"]),
-                  "ts": _us(tail_ts)},
-                 {"pid": pid_of(machine), "tid": tid_of(machine, layer),
-                  "ts": _us(span["start_ns"])})
-
-    if tracer is not None:
-        tracer_spans = tracer.finished_spans()
-        by_name = {}
-        for span in tracer_spans:
-            by_name.setdefault(span.name, span)
-        # flow ids for tracer arrows live above the hub span-id range
-        next_flow = max(by_id, default=0) + 1
-        for span in tracer_spans:
-            args = dict(span.attributes)
-            if getattr(span, "trace_id", None) is not None:
-                args["trace_id"] = span.trace_id
-            body.append({
-                "ph": "X", "name": span.name, "cat": "platform.trace",
-                "pid": pid_of("coordinator"),
-                "tid": tid_of("coordinator", "platform.trace"),
-                "ts": _us(span.start_ns),
-                "dur": _us(span.end_ns - span.start_ns),
-                "args": args,
-            })
-            parent = by_name.get(span.parent)
-            if parent is not None and parent.finished:
-                tail_ts = min(max(span.start_ns, parent.start_ns),
-                              parent.end_ns)
-                loc = {"pid": pid_of("coordinator"),
-                       "tid": tid_of("coordinator", "platform.trace")}
-                flow(next_flow, {**loc, "ts": _us(tail_ts)},
-                     {**loc, "ts": _us(span.start_ns)})
-                next_flow += 1
+            body.append({"ph": "s", "name": "causal", "cat": "flow",
+                         "id": span["span_id"],
+                         "pid": pid_of(parent["machine"]),
+                         "tid": tid_of(parent["machine"],
+                                       parent["layer"]),
+                         "ts": _us(tail_ts)})
+            body.append({"ph": "f", "name": "causal", "cat": "flow",
+                         "bp": "e", "id": span["span_id"],
+                         "pid": pid_of(machine),
+                         "tid": tid_of(machine, layer),
+                         "ts": _us(span["start_ns"])})
 
     for key in sorted(hub.series):
         machine, layer, name = key
@@ -307,15 +272,12 @@ def to_chrome_trace(hub: Telemetry, tracer=None,
                           "clock_domain": "simulated-ns"}}
 
 
-def to_chrome_trace_json(hub: Telemetry, tracer=None,
-                         monitor=None) -> str:
-    return json.dumps(to_chrome_trace(hub, tracer=tracer,
-                                      monitor=monitor), sort_keys=True)
+def to_chrome_trace_json(hub: Telemetry, monitor=None) -> str:
+    return json.dumps(to_chrome_trace(hub, monitor=monitor),
+                      sort_keys=True)
 
 
-def write_chrome_trace(hub: Telemetry, path: str, tracer=None,
-                       monitor=None) -> None:
+def write_chrome_trace(hub: Telemetry, path: str, monitor=None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_chrome_trace_json(hub, tracer=tracer,
-                                      monitor=monitor))
+        fh.write(to_chrome_trace_json(hub, monitor=monitor))
         fh.write("\n")

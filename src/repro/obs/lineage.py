@@ -32,9 +32,10 @@ only mutates its own dictionaries, and no instrumentation site charges a
 ledger or touches the event queue — a run with lineage enabled is
 bit-identical to one without.  Instrumentation follows the hub pattern::
 
-    lin = current_lineage()
-    if lin is not None:
-        lin.page_pulled(vma_name, space_name, vpn, "demand", PAGE_SIZE)
+    hub = _telemetry()
+    if hub is not None and hub.lineage is not None:
+        hub.lineage.page_pulled(vma_name, space_name, vpn, "demand",
+                                PAGE_SIZE)
 
 Byte conservation: the physical bytes the tracker records mirror the
 substrate's own accounting exactly — one ``PAGE_SIZE`` per RDMA page
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.telemetry import current as _telemetry
 from repro.units import PAGE_SIZE
 
 #: Version stamp of :meth:`LineageTracker.report`.
@@ -60,12 +60,6 @@ _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 #: :data:`repro.kernel.remote_pager.REGION_PAGES` (not imported to keep
 #: the observer layer free of kernel imports).
 _REGION_PAGES = 512
-
-
-def current_lineage() -> Optional["LineageTracker"]:
-    """The installed hub's lineage tracker, or ``None`` (the fast path)."""
-    hub = _telemetry()
-    return hub.lineage if hub is not None else None
 
 
 def _fid_of(vma_name: str) -> str:
@@ -162,7 +156,7 @@ class LineageTracker:
     """Accumulates page/byte provenance for one (or several) runs.
 
     Attach via ``hub.enable_lineage()``; every instrumentation site in
-    mem/kernel/net/transfer reaches it through :func:`current_lineage`.
+    mem/kernel/net/transfer reaches it as ``hub.lineage``.
     All state is deterministic given the seeded simulation, so
     :meth:`report` is byte-identical across replays of the same run.
     """

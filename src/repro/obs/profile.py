@@ -410,3 +410,30 @@ def render_report(report: Dict[str, Any], top: int = 12) -> str:
         lines.append(f"{rest_ns / total:>6.1%}  {rest_ns / 1e6:>10.3f}  "
                      f"({len(rest)} more)")
     return "\n".join(lines)
+
+
+def render_gantt(hub: Telemetry, trace_id: Optional[str] = None,
+                 width: int = 60) -> str:
+    """A text Gantt chart of the coordinator's invocation
+    (``platform/<wf>#<id>``) and function-instance (``platform/<fn>#<i>``)
+    spans, ordered by start (ties in span-id order, i.e. the order the
+    coordinator opened them); *trace_id* narrows it to one invocation."""
+    spans = sorted((s for s in hub.spans
+                    if s["layer"] == "platform"
+                    and _INSTANCE_SUFFIX.search(s["name"])
+                    and trace_id in (None, s.get("trace_id"))),
+                   key=lambda s: (s["start_ns"], s["span_id"]))
+    if not spans:
+        return "(no spans)"
+    t0 = spans[0]["start_ns"]
+    total = max(1, max(s["end_ns"] for s in spans) - t0)
+    label_w = max(len(s["name"]) for s in spans)
+    lines = []
+    for span in spans:
+        lo = int(width * (span["start_ns"] - t0) / total)
+        hi = max(lo + 1, int(width * (span["end_ns"] - t0) / total))
+        bar = " " * lo + "#" * (hi - lo)
+        dur_ms = (span["end_ns"] - span["start_ns"]) / 1e6
+        lines.append(f"{span['name'].ljust(label_w)} |{bar.ljust(width)}| "
+                     f"{dur_ms:8.3f} ms")
+    return "\n".join(lines)

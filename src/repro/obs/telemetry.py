@@ -2,10 +2,9 @@
 
 A :class:`Telemetry` hub collects counters, gauges, log-binned histograms,
 structured events and finished spans from every layer of the simulated
-stack, keyed by ``(machine, layer, name)``.  Like the span
-:class:`~repro.analysis.tracing.Tracer`, it is a pure *clock observer*: no
-hub operation ever charges a ledger or advances simulated time, so an
-instrumented run produces byte-identical Fig 11 T/N/R totals.
+stack, keyed by ``(machine, layer, name)``.  It is a pure *clock
+observer*: no hub operation ever charges a ledger or advances simulated
+time, so an instrumented run produces byte-identical Fig 11 T/N/R totals.
 
 Instrumentation points follow one pattern::
 
@@ -357,7 +356,7 @@ class Telemetry:
              parent_id: Optional[int] = None,
              trace_id: Optional[str] = None,
              **attributes: Any) -> int:
-        """Record one finished interval (same shape as Tracer spans).
+        """Record one finished interval.
 
         ``span_id`` defaults to a fresh id; ``parent_id`` links the span
         into its causal parent and ``trace_id`` names the rooted tree it

@@ -41,7 +41,6 @@ class ServerlessPlatform:
         self._coordinators: Dict[str, WorkflowCoordinator] = {}
         self._plans: Dict[str, VmPlan] = {}
         self._autoscalers: Dict[str, "Autoscaler"] = {}
-        self.tracer = None
 
     # -- deployment -------------------------------------------------------------
 
@@ -63,22 +62,13 @@ class ServerlessPlatform:
         plan = plan_workflow(workflow)
         coordinator = WorkflowCoordinator(self.engine, workflow, plan,
                                           self.scheduler, transport,
-                                          self.cost, tracer=self.tracer,
+                                          self.cost,
                                           resilience=resilience,
                                           tenant=tenant,
                                           admission=admission)
         self._coordinators[workflow.name] = coordinator
         self._plans[workflow.name] = plan
         return coordinator
-
-    def enable_tracing(self) -> "Tracer":
-        """Turn on span tracing for all subsequently deployed workflows."""
-        from repro.analysis.tracing import Tracer
-        if self.tracer is None:
-            self.tracer = Tracer(True)
-            for coordinator in self._coordinators.values():
-                coordinator.tracer = self.tracer
-        return self.tracer
 
     def enable_autoscaler(self, workflow_name: str, **kwargs):
         """Attach a KPA-style, event-driven autoscaler to a deployed
@@ -125,11 +115,6 @@ class ServerlessPlatform:
         """Turn on remote-fork scale-up for the whole cluster (see
         :mod:`repro.fork`); returns the scheduler's fork manager."""
         return self.scheduler.enable_fork(policy)
-
-    def reset(self) -> None:
-        """Zero measurement state (start counters) without touching pods,
-        so an experiment can prewarm, reset, then measure."""
-        self.scheduler.reset_starts()
 
     # -- load generation (Fig 12) -----------------------------------------------------
 

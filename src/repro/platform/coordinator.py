@@ -22,7 +22,6 @@ from repro.errors import (AuthenticationFailed, ContainerKilled,
                           ReproError, WorkflowError)
 from repro.kernel.remote_pager import FETCH_RPC
 from repro.net.rpc import RpcError
-from repro.obs.lineage import current_lineage as _lineage
 from repro.obs.telemetry import current as _telemetry
 from repro.platform.container import STATE_DEAD, Container
 from repro.platform.dag import Edge, FunctionSpec, Workflow
@@ -207,11 +206,9 @@ class WorkflowCoordinator:
 
     def __init__(self, engine: Engine, workflow: Workflow, plan: VmPlan,
                  scheduler: Scheduler, transport: StateTransport,
-                 cost: CostModel, tracer=None,
+                 cost: CostModel,
                  resilience: Optional[ResiliencePolicy] = None,
                  tenant: str = "default", admission=None):
-        from repro.analysis.tracing import Tracer
-
         self.engine = engine
         self.workflow = workflow
         # optional admission hook (duck-typed to
@@ -228,7 +225,6 @@ class WorkflowCoordinator:
         self.scheduler = scheduler
         self.transport = transport
         self.cost = cost
-        self.tracer = tracer if tracer is not None else Tracer(False)
         self.ledger = Ledger()  # coordinator-side charges (reclamation)
         # fail-stop by default; a policy turns on the recovery ladder
         self.resilience = resilience
@@ -404,8 +400,6 @@ class WorkflowCoordinator:
                          params: Dict[str, Any]):
         wf = self.workflow
         yield from self._control_barrier()
-        inv_span = self.tracer.begin(
-            f"{wf.name}#{record.request_id}", self.engine.now)
         for fname in wf.topological_order():
             spec = wf.spec(fname)
             upstream_procs = [p for e in wf.upstream(fname)
@@ -424,7 +418,6 @@ class WorkflowCoordinator:
         yield from self._control_barrier()
         yield from self._cleanup(inv)
         record.end_ns = self.engine.now
-        self.tracer.end(inv_span, self.engine.now)
         self._inflight -= 1
         hub = _telemetry()
         if hub is not None:
@@ -476,7 +469,6 @@ class WorkflowCoordinator:
         attempt = 0
         while True:
             container = None
-            span = None
             try:
                 cold_before = self.scheduler.cold_starts
                 container = yield from self.scheduler.acquire(
@@ -491,10 +483,6 @@ class WorkflowCoordinator:
                              parent_id=inst_id, trace_id=inv.trace_id,
                              cold=frec.cold_start)
 
-                span = self.tracer.begin(
-                    f"{spec.name}#{index}", frec.start_ns,
-                    parent=f"{self.workflow.name}#{record.request_id}",
-                    cold=frec.cold_start)
                 try:
                     output = yield from self._execute_in_container(
                         inv, frec, spec, index, container,
@@ -512,8 +500,6 @@ class WorkflowCoordinator:
                 if (policy is None or not recoverable
                         or policy.retry.exhausted(attempt)):
                     raise
-                if span is not None:
-                    self.tracer.end(span, self.engine.now)
                 self.stats.retries += 1
                 hub = _telemetry()
                 if hub is not None:
@@ -525,7 +511,6 @@ class WorkflowCoordinator:
                 yield from self._control_barrier()
                 yield Timeout(policy.retry.delay_ns(attempt, policy.rng))
         frec.end_ns = self.engine.now
-        self.tracer.end(span, frec.end_ns)
         record.functions.append(frec)
         hub = _telemetry()
         if hub is not None:
@@ -684,7 +669,7 @@ class WorkflowCoordinator:
                                      f"{token.transport}.receive",
                                      container.ledger,
                                      producer=edge.producer)
-            lin = _lineage()
+            lin = hub.lineage if hub is not None else None
             prev_edge = None
             if lin is not None:
                 # ambient DAG-edge context: every page pull / logical

@@ -14,7 +14,7 @@ import itertools
 from typing import Optional
 
 from repro.kernel.remote_pager import FETCH_RDMA
-from repro.obs.lineage import current_lineage as _lineage
+from repro.obs.telemetry import current as _telemetry
 from repro.runtime.proxy import RemoteRoot
 from repro.runtime.traverse import ObjectTraverser
 from repro.sim.ledger import Ledger
@@ -64,7 +64,8 @@ class RmmapTransport(StateTransport):
     def send(self, producer: Endpoint, root_addr: int) -> TransferToken:
         fid = f"rmmap-{next(self._fid_counter)}"
         key = (hash(fid) ^ 0x5EED) & 0xFFFFFFFF
-        lin = _lineage()
+        hub = _telemetry()
+        lin = hub.lineage if hub is not None else None
         page_addrs = None
         object_count = 0
         if self.prefetch:

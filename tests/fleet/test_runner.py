@@ -36,6 +36,14 @@ class TestServiceProfile:
              for _ in range(1)]
         assert a == b and a[0] >= 1
 
+    def test_calibrated_measures_each_pair_through_the_facade(self):
+        from repro.api import run
+        profile = ServiceProfile.calibrated([("wordcount", "rmmap")],
+                                            scale=0.02)
+        assert profile.kind == "calibrated"
+        assert profile.pair_ns == {("wordcount", "rmmap"): run(
+            "wordcount", transport="rmmap", scale=0.02).latency_ns}
+
     def test_to_dict_serializes_pairs_as_strings(self):
         profile = ServiceProfile(pair_ns={("w", "t"): 5})
         assert profile.to_dict()["pair_ns"] == {"w/t": 5}
@@ -72,7 +80,7 @@ class TestSmokeRun:
 
     def test_json_schema_and_wall_exclusion(self, smoke_result):
         d = smoke_result.to_dict()
-        assert d["schema"] == "fleet-result/v1"
+        assert d["schema"] == "fleet-result/v2"
         assert "wall" not in d
         with_wall = smoke_result.to_dict(include_wall=True)
         assert with_wall["wall"]["invocations"] \

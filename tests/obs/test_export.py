@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from repro.analysis.tracing import Tracer
+from repro.api import run
 from repro.bench.microbench import make_pair, measure_transfer
 from repro.obs import (Telemetry, WALL_PREFIX, capture, to_chrome_trace,
                        to_chrome_trace_json, to_csv, to_json,
@@ -75,20 +75,25 @@ def test_chrome_trace_excludes_wall_metrics(instrumented_transfer):
         assert "wall." not in event.get("name", "")
 
 
-def test_chrome_trace_merges_tracer_spans():
-    hub = Telemetry()
-    hub.span("mac0", "platform", "fn#0", 100, 2000, cold=True)
-    tracer = Tracer(True)
-    span = tracer.begin("wf#0", 50)
-    tracer.end(span, 5000)
-    trace = to_chrome_trace(hub, tracer=tracer)
-    xs = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-    names = {e["name"] for e in xs}
-    assert names == {"fn#0", "wf#0"}
-    tracer_event = next(e for e in xs if e["name"] == "wf#0")
-    assert tracer_event["cat"] == "platform.trace"
-    assert tracer_event["ts"] == pytest.approx(0.05)  # 50 ns -> 0.05 us
-    assert tracer_event["dur"] == pytest.approx(4.95)
+def test_chrome_trace_has_each_platform_interval_once():
+    """A traced run exports every invocation and function-instance
+    interval exactly once, all on hub rows (no second span source)."""
+    result = run("wordcount", transport="rmmap", scale=0.02,
+                 telemetry=True)
+    trace = to_chrome_trace(result.telemetry)
+    cats = {e.get("cat") for e in trace["traceEvents"]}
+    assert "platform.trace" not in cats
+    intervals = [(e["name"], e["args"]["trace_id"])
+                 for e in trace["traceEvents"]
+                 if e["ph"] == "X" and e["cat"] == "platform"
+                 and "#" in e["name"]]
+    assert len(intervals) == len(set(intervals))
+    record = result.record
+    measured = [name for name, tid in intervals
+                if tid.startswith(f"wordcount#{record.request_id}@")]
+    assert sorted(measured) == sorted(
+        [f"wordcount#{record.request_id}"]
+        + [f"{f.function}#{f.index}" for f in record.functions])
 
 
 def test_chrome_trace_has_process_metadata(instrumented_transfer):

@@ -219,8 +219,7 @@ class TestEndToEnd:
 
     def test_chrome_export_carries_flow_arrows(self, paired):
         _, _, profiled = paired
-        trace = to_chrome_trace(profiled.telemetry,
-                                tracer=profiled.tracer)
+        trace = to_chrome_trace(profiled.telemetry)
         flows = [e for e in trace["traceEvents"]
                  if e.get("cat") == "flow"]
         starts = {e["id"] for e in flows if e["ph"] == "s"}

@@ -1,81 +1,110 @@
-"""Tests for the KPA-style autoscaler and span tracing."""
+"""Tests for the KPA-style autoscaler and the coordinator's hub spans."""
 
-import pytest
-
-from repro.analysis.tracing import Tracer, render_gantt
+from repro.obs import Telemetry, capture, render_gantt
 from repro.platform.cluster import ServerlessPlatform
 from repro.transfer import MessagingTransport
 
 from .test_execution import make_fanout_workflow, make_linear_workflow
 
 
-# --- tracer unit tests -----------------------------------------------------------
+def platform_spans(hub, prefix=""):
+    return [s for s in hub.spans if s["layer"] == "platform"
+            and "#" in s["name"] and s["name"].startswith(prefix)]
+
+
+def traced_linear_run(n=50):
+    hub = Telemetry()
+    with capture(hub):
+        platform = ServerlessPlatform(n_machines=2)
+        platform.deploy(make_linear_workflow(), MessagingTransport())
+        record = platform.run_once("linear", {"n": n})
+    return hub, record
+
+
+# --- hub spans emitted by the coordinator ----------------------------------------
 
 def test_span_lifecycle():
-    tracer = Tracer()
-    span = tracer.begin("work", 100, foo="bar")
-    assert not span.finished
-    with pytest.raises(ValueError):
-        _ = span.duration_ns
-    tracer.end(span, 250)
-    assert span.duration_ns == 150
-    assert span.attributes == {"foo": "bar"}
+    """One ``platform/<wf>#<id>`` span per invocation, over exactly the
+    record's interval."""
+    hub, record = traced_linear_run()
+    inv_spans = platform_spans(hub, "linear#")
+    assert [s["name"] for s in inv_spans] == ["linear#0"]
+    assert inv_spans[0]["start_ns"] == record.start_ns
+    assert inv_spans[0]["end_ns"] - inv_spans[0]["start_ns"] \
+        == record.latency_ns
 
 
 def test_disabled_tracer_is_noop():
-    tracer = Tracer(enabled=False)
-    span = tracer.begin("x", 0)
-    assert span is None
-    tracer.end(span, 10)  # no crash
-    assert tracer.spans == []
+    """Without a hub installed the run records nothing anywhere."""
+    platform = ServerlessPlatform(n_machines=2)
+    platform.deploy(make_linear_workflow(), MessagingTransport())
+    assert platform.run_once("linear", {"n": 10}).latency_ns > 0
+    assert render_gantt(Telemetry()) == "(no spans)"
 
 
 def test_by_name_prefix_filter():
-    tracer = Tracer()
-    for name in ("f#0", "f#1", "g#0"):
-        tracer.end(tracer.begin(name, 0), 1)
-    assert len(tracer.by_name("f#")) == 2
+    """One ``platform/<fn>#<i>`` span per function instance, carrying
+    the ``cold`` attribute: the first invocation boots every container,
+    the second reuses them."""
+    hub = Telemetry()
+    with capture(hub):
+        platform = ServerlessPlatform(n_machines=4)
+        platform.deploy(make_fanout_workflow(width=4),
+                        MessagingTransport())
+        platform.run_once("fanout", {"n": 64})
+        platform.run_once("fanout", {"n": 64})
+    for request_id, cold in ((0, True), (1, False)):
+        workers = [s for s in platform_spans(hub, "worker#")
+                   if s["attributes"]["request_id"] == request_id]
+        assert sorted(s["name"] for s in workers) \
+            == [f"worker#{i}" for i in range(4)]
+        assert all(s["attributes"]["cold"] is cold for s in workers)
 
 
 def test_render_gantt_shape():
-    tracer = Tracer()
-    tracer.end(tracer.begin("first", 0), 500)
-    tracer.end(tracer.begin("second", 250), 1000)
-    chart = render_gantt(tracer, width=20)
+    hub = Telemetry()
+    hub.span("mac0", "platform", "first#0", 0, 500)
+    hub.span("mac1", "platform", "second#0", 250, 1000, trace_id="t")
+    hub.span("mac1", "platform", "schedule", 250, 300)
+    chart = render_gantt(hub, width=20)
     lines = chart.splitlines()
     assert len(lines) == 2
-    assert lines[0].startswith("first")
-    assert "#" in lines[0]
-    assert render_gantt(Tracer()) == "(no spans)"
+    assert lines[0].startswith("first#0")
+    assert "#" in lines[0].split("|")[1]
+    only = render_gantt(hub, trace_id="t", width=20)
+    assert only.splitlines()[0].startswith("second#0")
+    assert len(only.splitlines()) == 1
+    assert render_gantt(Telemetry()) == "(no spans)"
 
 
-# --- tracing integrated with the platform ----------------------------------------------
+# --- spans integrated with the platform ------------------------------------------------
 
 def test_platform_tracing_captures_function_spans():
-    platform = ServerlessPlatform(n_machines=2)
-    tracer = platform.enable_tracing()
-    platform.deploy(make_linear_workflow(), MessagingTransport())
-    record = platform.run_once("linear", {"n": 50})
-    inv_spans = tracer.by_name("linear#")
-    assert len(inv_spans) == 1
-    assert inv_spans[0].duration_ns == record.latency_ns
-    fn_spans = [s for s in tracer.finished_spans()
-                if s.parent == inv_spans[0].name]
-    assert {s.name.split("#")[0] for s in fn_spans} == \
+    hub, record = traced_linear_run()
+    inv_span, = platform_spans(hub, "linear#")
+    fn_spans = [s for s in platform_spans(hub)
+                if s["parent_id"] == inv_span["span_id"]]
+    assert {s["name"].split("#")[0] for s in fn_spans} == \
         {"produce", "square", "total"}
+    assert len(fn_spans) == len(record.functions)
     # function spans nest within the invocation span
     for s in fn_spans:
-        assert inv_spans[0].start_ns <= s.start_ns
-        assert s.end_ns <= inv_spans[0].end_ns
-    assert "#" in render_gantt(tracer)
+        assert inv_span["start_ns"] <= s["start_ns"]
+        assert s["end_ns"] <= inv_span["end_ns"]
+        assert s["trace_id"] == inv_span["trace_id"]
+    chart = render_gantt(hub)
+    assert chart.splitlines()[0].startswith("linear#0")
+    assert "#" in chart.split("|")[1]
 
 
 def test_tracing_enabled_after_deploy_applies():
+    """The hub is ambient: one installed after deploy still sees the
+    coordinator's spans."""
     platform = ServerlessPlatform(n_machines=2)
     platform.deploy(make_linear_workflow(), MessagingTransport())
-    tracer = platform.enable_tracing()
-    platform.run_once("linear", {"n": 10})
-    assert tracer.finished_spans()
+    with capture() as hub:
+        platform.run_once("linear", {"n": 10})
+    assert platform_spans(hub, "linear#")
 
 
 # --- autoscaler -----------------------------------------------------------------------

@@ -56,6 +56,11 @@ def test_run_rejects_unknown_workload():
         run("factorize-rsa", transport="messaging", scale=SCALE)
 
 
+def test_run_transport_is_keyword_only():
+    with pytest.raises(TypeError):
+        run("wordcount", "rmmap")
+
+
 @pytest.mark.parametrize("transport", ["messaging", "rmmap-prefetch"])
 def test_facade_matches_bench_path(transport):
     """run() must reproduce run_workflow_once to the nanosecond."""
@@ -101,8 +106,8 @@ def test_same_seed_same_telemetry():
             telemetry=True)
     assert (a.telemetry.snapshot(deterministic=True)
             == b.telemetry.snapshot(deterministic=True))
-    assert (to_chrome_trace_json(a.telemetry, tracer=a.tracer)
-            == to_chrome_trace_json(b.telemetry, tracer=b.tracer))
+    assert (to_chrome_trace_json(a.telemetry)
+            == to_chrome_trace_json(b.telemetry))
 
 
 def test_run_accepts_transport_instance_and_param_overrides():

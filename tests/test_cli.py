@@ -177,7 +177,7 @@ def test_fleet_smoke_json_is_deterministic(tmp_path, capsys):
     assert main(["fleet", "--smoke", "--seed", "0",
                  "--json-out", first, "--format", "json"]) == 0
     parsed = json.loads(capsys.readouterr().out)
-    assert parsed["schema"] == "fleet-result/v1"
+    assert parsed["schema"] == "fleet-result/v2"
     assert parsed["totals"]["arrivals"] > 500
     assert main(["fleet", "--smoke", "--seed", "0",
                  "--json-out", second, "--format", "json"]) == 0
