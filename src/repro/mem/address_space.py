@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import AddressConflict, SegmentationFault
 from repro.mem.layout import (AddressRange, SegmentLayout, page_number,
@@ -13,7 +13,8 @@ from repro.mem.physical import PhysicalMemory
 from repro.mem.vma import VMA
 from repro.obs.telemetry import current as _telemetry
 from repro.sim.ledger import Ledger
-from repro.units import PAGE_SIZE, CostModel, DEFAULT_COST_MODEL
+from repro.units import (PAGE_SHIFT, PAGE_SIZE, CostModel,
+                         DEFAULT_COST_MODEL)
 
 
 class AddressSpace:
@@ -147,20 +148,46 @@ class AddressSpace:
 
     def write(self, vaddr: int, data: bytes) -> None:
         """Write *data*, breaking CoW and crossing pages as needed."""
+        self.write_batch(((vaddr, data),))
+
+    def write_batch(self, items: Iterable[Tuple[int, bytes]]) -> None:
+        """Do each ``(vaddr, data)`` write of *items*, in order.
+
+        A chunk landing on the page the previous chunk translated reuses
+        that frame — nothing inside one call can unmap or re-protect a
+        page this call has just made writable — and the page-table walks
+        so skipped are charged once at the end: aggregated, never dropped.
+        """
         hub = _telemetry()
-        if hub is not None and hub.lineage is not None:
-            hub.lineage.touched(self.name, vaddr, len(data))
-        pos = 0
-        remaining = len(data)
-        while remaining > 0:
-            pte = self.translate(vaddr, write=True)
-            off = page_offset(vaddr)
-            chunk = min(remaining, PAGE_SIZE - off)
-            frame = self.physical.frame(pte.pfn)
-            frame.data[off:off + chunk] = data[pos:pos + chunk]
-            vaddr += chunk
-            pos += chunk
-            remaining -= chunk
+        lineage = hub.lineage if hub is not None else None
+        skipped = 0
+        last_vpn = -1
+        frame_data = None
+        try:
+            for vaddr, data in items:
+                if lineage is not None:
+                    lineage.touched(self.name, vaddr, len(data))
+                pos = 0
+                remaining = len(data)
+                while remaining > 0:
+                    vpn = vaddr >> PAGE_SHIFT
+                    if vpn == last_vpn:
+                        skipped += 1
+                    else:
+                        pte = self.translate(vaddr, write=True)
+                        frame_data = self.physical.frame(pte.pfn).data
+                        last_vpn = vpn
+                    off = vaddr & (PAGE_SIZE - 1)
+                    room = PAGE_SIZE - off
+                    chunk = remaining if remaining < room else room
+                    frame_data[off:off + chunk] = data[pos:pos + chunk]
+                    vaddr += chunk
+                    pos += chunk
+                    remaining -= chunk
+        finally:
+            if skipped:
+                self.ledger.charge(skipped * self.cost.page_table_walk_ns,
+                                   "mmu")
 
     def read_u64(self, vaddr: int) -> int:
         return int.from_bytes(self.read(vaddr, 8), "little")

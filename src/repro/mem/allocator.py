@@ -8,7 +8,8 @@ possible.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from itertools import accumulate
+from typing import List, Sequence, Tuple
 
 from repro.errors import MemoryError_, OutOfMemory
 from repro.mem.layout import AddressRange
@@ -52,6 +53,25 @@ class HeapAllocator:
             f"heap exhausted: need {size} bytes, "
             f"{self.free_bytes()} free (fragmented)")
 
+    def alloc_run(self, sizes: Sequence[int]) -> List[int]:
+        """``[self.alloc(size) for size in sizes]``, carved in one step
+        when the first free block holds the whole run: first-fit would
+        serve every request from that block, back to back."""
+        aligned = [(size + _ALIGN - 1) & -_ALIGN for size in sizes]
+        total = sum(aligned)
+        start, free_size = self._free[0] if self._free else (0, 0)
+        if free_size < total or min(aligned, default=0) <= 0:
+            return [self.alloc(size) for size in sizes]
+        if free_size == total:
+            self._free.pop(0)
+        else:
+            self._free[0] = (start + total, free_size - total)
+        addrs = list(accumulate(aligned[:-1], initial=start))
+        self._allocated.update(zip(addrs, aligned))
+        self.bytes_in_use += total
+        self.high_water = max(self.high_water, start + total)
+        return addrs
+
     def free(self, vaddr: int) -> int:
         """Free a prior allocation; returns its size."""
         try:
@@ -62,6 +82,14 @@ class HeapAllocator:
         self.bytes_in_use -= size
         self._insert_free(vaddr, size)
         return size
+
+    def free_all(self) -> int:
+        """Free every allocation in one step (the state that freeing each
+        one leaves: one coalesced block); returns the bytes freed."""
+        freed, self.bytes_in_use = self.bytes_in_use, 0
+        self._allocated.clear()
+        self._free = [(self.range.start, self.range.size)]
+        return freed
 
     def _insert_free(self, start: int, size: int) -> None:
         # binary-search insertion point, then coalesce with neighbours

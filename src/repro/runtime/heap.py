@@ -14,6 +14,8 @@ per element; only host CPU time is saved.
 
 from __future__ import annotations
 
+import struct
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -30,10 +32,30 @@ from repro.runtime.values import (DataFrameValue, ImageValue, MLModelValue,
 
 _PRIM_SLOT = HEADER_SIZE + 8  # header + 8-byte payload, stride of packed runs
 _PACK_MIN = 64                # minimum list length for the packed layout
+_PACKED_TAGS = (TypeTag.INT, TypeTag.FLOAT)  # element types of packed runs
 _IMAGE_MODES = {"L": 0, "RGB": 1, "RGBA": 2}
 _IMAGE_CODES = {v: k for k, v in _IMAGE_MODES.items()}
 
 _CYCLE_SENTINEL = object()
+
+
+def is_prim_run(ptrs: List[int]) -> bool:
+    """True when *ptrs* are at least ``_PACK_MIN`` addresses exactly one
+    primitive slot apart — the layout of a packed int/float list."""
+    n = len(ptrs)
+    if n < _PACK_MIN or ptrs[-1] != ptrs[0] + (n - 1) * _PRIM_SLOT:
+        return False
+    arr = np.asarray(ptrs, dtype=np.uint64)
+    return bool(np.all(np.diff(arr) == _PRIM_SLOT))
+
+
+def encode_prim_run(tag: TypeTag, raw: bytes) -> bytes:
+    """Box 8-byte payloads *raw* as one stride-24 run of *tag* objects."""
+    words = np.empty((len(raw) // 8, 3), dtype="<u8")
+    words[:, 0] = int(tag)  # u32 tag, u32 flags (0)
+    words[:, 1] = 8         # payload size
+    words[:, 2] = np.frombuffer(raw, dtype="<u8")
+    return words.tobytes()
 
 
 class ManagedHeap:
@@ -140,19 +162,13 @@ class ManagedHeap:
 
     def _box_sequence(self, value, memo: Dict[int, int]) -> int:
         tag = TypeTag.LIST if isinstance(value, list) else TypeTag.TUPLE
-        packed = self._try_box_packed(value)
-        if packed is not None:
-            child_addrs = packed
-        else:
-            # allocate the container first so cycles resolve through memo
-            addr = self._alloc(HEADER_SIZE + 8 + PTR_SIZE * len(value))
-            memo[id(value)] = addr
-            child_addrs = [self._box(child, memo) for child in value]
-            payload = enc.pack_u64(len(value)) + enc.pack_pointers(child_addrs)
-            self._write_object(addr, tag, payload)
-            return addr
+        child_addrs = self._try_box_packed(value)
+        # allocate the container before boxing children one by one, so
+        # cycles resolve through memo
         addr = self._alloc(HEADER_SIZE + 8 + PTR_SIZE * len(value))
         memo[id(value)] = addr
+        if child_addrs is None:
+            child_addrs = [self._box(child, memo) for child in value]
         payload = enc.pack_u64(len(value)) + enc.pack_pointers(child_addrs)
         self._write_object(addr, tag, payload)
         return addr
@@ -163,22 +179,17 @@ class ManagedHeap:
         if n < _PACK_MIN:
             return None
         if all(type(v) is int for v in value):
-            tag, pack = TypeTag.INT, enc.pack_i64
+            tag, code = TypeTag.INT, "q"
         elif all(type(v) is float for v in value):
-            tag, pack = TypeTag.FLOAT, enc.pack_f64
+            tag, code = TypeTag.FLOAT, "d"
         else:
             return None
         base = self.allocator.alloc(n * _PRIM_SLOT)
         self.ledger.charge(n * self.cost.alloc_ns, "alloc")
-        header = enc.pack_header(tag, 8)
-        buf = bytearray(n * _PRIM_SLOT)
-        for i, v in enumerate(value):
-            off = i * _PRIM_SLOT
-            buf[off:off + HEADER_SIZE] = header
-            buf[off + HEADER_SIZE:off + _PRIM_SLOT] = pack(v)
-        self.space.write(base, bytes(buf))
+        self.space.write(base, encode_prim_run(
+            tag, struct.pack(f"<{n}{code}", *value)))
         self.objects_boxed += n
-        return [base + i * _PRIM_SLOT for i in range(n)]
+        return list(range(base, base + n * _PRIM_SLOT, _PRIM_SLOT))
 
     def _box_dict(self, value: dict, memo: Dict[int, int]) -> int:
         addr = self._alloc(HEADER_SIZE + 8 + 2 * PTR_SIZE * len(value))
@@ -259,10 +270,6 @@ class ManagedHeap:
     def header_of(self, addr: int) -> Tuple[TypeTag, int, int]:
         """(tag, flags, payload_size) of the object at *addr*."""
         return enc.unpack_header(self.space.read(addr, HEADER_SIZE))
-
-    def payload_of(self, addr: int) -> bytes:
-        _tag, _flags, size = self.header_of(addr)
-        return self.space.read(addr + HEADER_SIZE, size)
 
     def object_span(self, addr: int) -> Tuple[int, int]:
         """(start, total bytes) of the object at *addr*."""
@@ -410,28 +417,28 @@ class ManagedHeap:
 
     def _try_load_packed(self, ptrs: List[int]) -> Optional[List]:
         """Bulk-decode a stride-24 homogeneous primitive run."""
-        n = len(ptrs)
-        if n < _PACK_MIN:
+        run = self.packed_run(ptrs)
+        if run is None:
             return None
-        base = ptrs[0]
-        if ptrs[-1] != base + (n - 1) * _PRIM_SLOT:
+        tag, values = run
+        kind = np.int64 if tag == TypeTag.INT else np.float64
+        return values.view(kind).tolist()
+
+    def packed_run(self, ptrs: List[int]
+                   ) -> Optional[Tuple[TypeTag, np.ndarray]]:
+        """``(tag, u64 payload column)`` when *ptrs* is a stride-24
+        homogeneous INT/FLOAT run, read in bulk; else ``None``."""
+        if not is_prim_run(ptrs):
             return None
-        # confirm the stride holds everywhere (cheap numpy check)
-        arr = np.asarray(ptrs, dtype=np.uint64)
-        if not bool(np.all(np.diff(arr) == _PRIM_SLOT)):
+        tag, _flags, size = self.header_of(ptrs[0])
+        if size != 8 or tag not in _PACKED_TAGS:
             return None
-        tag, _flags, size = self.header_of(base)
-        if size != 8 or tag not in (TypeTag.INT, TypeTag.FLOAT):
-            return None
-        raw = self.space.read(base, n * _PRIM_SLOT)
-        words = np.frombuffer(raw, dtype=np.uint64).reshape(n, 3)
+        raw = self.space.read(ptrs[0], len(ptrs) * _PRIM_SLOT)
+        words = np.frombuffer(raw, dtype=np.uint64).reshape(-1, 3)
         # word 0 = tag|flags, word 1 = payload size; verify homogeneity
         if not bool(np.all(words[:, 0] == words[0, 0])):
             return None
-        values = words[:, 2]
-        if tag == TypeTag.INT:
-            return [int(v) for v in values.astype(np.int64)]
-        return [float(v) for v in values.view(np.float64)]
+        return tag, words[:, 2]
 
     def _load_dict(self, addr: int, size: int, memo: Dict[int, Any]) -> dict:
         ptrs = self._child_pointers(addr, size)
@@ -494,13 +501,8 @@ class ManagedHeap:
             raise SerializationError(
                 "ndarray provides no __iter__ for traversal "
                 "(enable numpy_iterator)")
-        if tag in (TypeTag.LIST, TypeTag.TUPLE, TypeTag.DICT, TypeTag.TREE):
-            return self._child_pointers(addr, size)
-        if tag == TypeTag.DATAFRAME:
-            return self._child_pointers(addr, size, skip=16)
-        if tag == TypeTag.MLMODEL:
-            return self._child_pointers(addr, size, skip=24)
-        return []
+        skip = enc.POINTER_OFFSET.get(tag)
+        return [] if skip is None else self._child_pointers(addr, size, skip)
 
     # ------------------------------------------------------------------- GC
 
@@ -527,27 +529,18 @@ class ManagedHeap:
             for child in self.children(addr):
                 if child not in marked and self.owns(child):
                     stack.append(child)
+        if not marked:  # every Container.reset_heap(): no per-object sweep
+            return self.allocator.free_all()
         freed = 0
-        if marked:
-            marked_sorted = np.asarray(sorted(marked), dtype=np.uint64)
-        else:
-            marked_sorted = np.asarray([], dtype=np.uint64)
-        for start in list(self.allocator.allocations_dict()):
-            size = self.allocator.allocation_size(start)
-            if self._block_marked(marked_sorted, start, size):
-                continue
-            freed += self.allocator.free(start)
+        marked_sorted = sorted(marked)
+        for start in self.allocator.allocations_dict():
+            # a block is live when any marked address falls inside it
+            # (packed primitive runs share one allocation)
+            i = bisect_left(marked_sorted, start)
+            if i == len(marked_sorted) or marked_sorted[i] >= \
+                    start + self.allocator.allocation_size(start):
+                freed += self.allocator.free(start)
         return freed
-
-    @staticmethod
-    def _block_marked(marked_sorted: np.ndarray, start: int,
-                      size: int) -> bool:
-        """True when any marked object address falls inside the block
-        (packed primitive runs share one allocation)."""
-        if len(marked_sorted) == 0:
-            return False
-        i = int(np.searchsorted(marked_sorted, start, side="left"))
-        return i < len(marked_sorted) and int(marked_sorted[i]) < start + size
 
     # ------------------------------------------------------------ utilities
 

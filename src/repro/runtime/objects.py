@@ -49,20 +49,12 @@ class TypeTag(IntEnum):
     TREE = 13
 
 
-# Types whose payload embeds pointers to child objects.
-CONTAINER_TAGS = frozenset({
-    TypeTag.LIST, TypeTag.TUPLE, TypeTag.DICT,
-    TypeTag.DATAFRAME, TypeTag.MLMODEL,
-})
-
-# Types providing a usable object iterator for semantic-aware prefetch
-# (Section 4.4).  NDARRAY mimics numpy: no generic ``__iter__`` usable for
-# traversal unless the 12-LoC wrapper is enabled on the heap.
-DEFAULT_TRAVERSABLE = frozenset({
-    TypeTag.NONE, TypeTag.BOOL, TypeTag.INT, TypeTag.FLOAT,
-    TypeTag.STR, TypeTag.BYTES, TypeTag.LIST, TypeTag.TUPLE, TypeTag.DICT,
-    TypeTag.DATAFRAME,
-})
+# Types whose payload embeds pointers to child objects, with the payload
+# offset of the first pointer slot (the slots run to the payload's end).
+POINTER_OFFSET = {
+    TypeTag.LIST: 8, TypeTag.TUPLE: 8, TypeTag.DICT: 8, TypeTag.TREE: 8,
+    TypeTag.DATAFRAME: 16, TypeTag.MLMODEL: 24,
+}
 
 # dtype codes for NDARRAY payloads
 DTYPE_CODES = {
@@ -80,9 +72,17 @@ def pack_header(tag: TypeTag, payload_size: int, flags: int = 0) -> bytes:
     return HEADER_STRUCT.pack(int(tag), flags, payload_size)
 
 
+# code -> member: a tuple index instead of the enum call machinery, on
+# the path of every header read (tag codes are dense from 0)
+TAGS = tuple(TypeTag)
+
+
 def unpack_header(raw: bytes):
     tag, flags, size = HEADER_STRUCT.unpack(raw)
-    return TypeTag(tag), flags, size
+    try:
+        return TAGS[tag], flags, size
+    except IndexError:
+        raise ValueError(f"{tag} is not a valid TypeTag") from None
 
 
 def pack_u64(value: int) -> bytes:
@@ -111,9 +111,8 @@ def unpack_f64(raw: bytes, offset: int = 0) -> float:
 
 def pack_pointers(addrs) -> bytes:
     """Encode a sequence of child addresses as consecutive u64 slots."""
-    return b"".join(_U64.pack(a) for a in addrs)
+    return struct.pack(f"<{len(addrs)}Q", *addrs)
 
 
 def unpack_pointers(raw: bytes, count: int, offset: int = 0):
-    return [_U64.unpack_from(raw, offset + i * PTR_SIZE)[0]
-            for i in range(count)]
+    return list(struct.unpack_from(f"<{max(count, 0)}Q", raw, offset))

@@ -24,21 +24,20 @@ per-element cost is still charged, only host CPU time is saved.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from repro.errors import SerializationError
 from repro.obs.telemetry import current as _telemetry
 from repro.runtime import objects as enc
-from repro.runtime.heap import _PACK_MIN, _PRIM_SLOT, ManagedHeap
-from repro.runtime.objects import (CONTAINER_TAGS, HEADER_SIZE, PTR_SIZE,
-                                   TypeTag)
+from repro.runtime.heap import (_PACKED_TAGS, _PRIM_SLOT, ManagedHeap,
+                                encode_prim_run)
+from repro.runtime.objects import HEADER_SIZE, PTR_SIZE, TypeTag
 from repro.units import transfer_time_ns
 
 _REC_OBJ = 0
 _REC_PACKED = 1
 _REC_HEADER = struct.Struct("<BIQ")  # kind, tag, count-or-len
+_OBJ_HEADER = enc.HEADER_STRUCT.pack
 
 
 class SerializedState:
@@ -67,10 +66,6 @@ class Serializer:
 
     def serialize(self, heap: ManagedHeap, root: int) -> SerializedState:
         """Flatten the graph rooted at *root* into a byte stream."""
-        cost = heap.cost
-        ledger = heap.ledger
-        category = self.prefix + "serialize"
-
         # Queue entries are ("obj", addr) or ("packed", tag, raw, count);
         # entries are appended in index-assignment order, so draining FIFO
         # emits records in exactly index order (what deserialize assumes).
@@ -89,208 +84,170 @@ class Serializer:
                 continue
             addr = entry[1]
             tag, _flags, size = heap.header_of(addr)
-            if tag in (TypeTag.LIST, TypeTag.TUPLE):
-                self._emit_sequence(heap, addr, tag, size, index, queue,
-                                    chunks)
-            elif tag in CONTAINER_TAGS or tag == TypeTag.TREE:
-                self._emit_container(heap, addr, tag, size, index, queue,
-                                     chunks)
-            else:
-                payload = heap.space.read(addr + HEADER_SIZE, size)
-                chunks.append(_REC_HEADER.pack(_REC_OBJ, int(tag), size))
-                chunks.append(payload)
+            payload = heap.space.read(addr + HEADER_SIZE, size)
+            skip = enc.POINTER_OFFSET.get(tag)
+            if skip is not None:
+                payload = payload[:skip] + self._child_indices(
+                    heap, tag, payload, skip, index, queue)
+            chunks.append(_REC_HEADER.pack(_REC_OBJ, int(tag), size))
+            chunks.append(payload)
 
         data = struct.pack("<Q", len(index)) + b"".join(chunks)
-        per_object = len(index) * cost.serialize_per_object_ns
-        copy = transfer_time_ns(len(data), cost.serialize_copy_gbps)
-        ledger.charge(per_object, category)
-        ledger.charge(copy, category)
-        hub = _telemetry()
-        if hub is not None:
-            hub.op(heap.space.name, "runtime", category, ledger,
-                   per_object + copy, objects=len(index), bytes=len(data))
+        self._charge(heap, "serialize", heap.cost.serialize_per_object_ns,
+                     len(index), len(data))
         return SerializedState(data, len(index))
 
-    def _assign(self, ptr: int, index: Dict[int, int],
-                queue: List[Tuple]) -> int:
-        idx = index.get(ptr)
-        if idx is None:
-            idx = len(index)
-            index[ptr] = idx
-            queue.append(("obj", ptr))
-        return idx
-
-    def _emit_container(self, heap: ManagedHeap, addr: int, tag: TypeTag,
-                        size: int, index: Dict[int, int], queue: List[int],
-                        chunks: List[bytes]) -> None:
-        skip = {TypeTag.DATAFRAME: 16, TypeTag.MLMODEL: 24}.get(tag, 8)
-        payload = heap.space.read(addr + HEADER_SIZE, size)
-        nptrs = (size - skip) // PTR_SIZE
-        ptrs = enc.unpack_pointers(payload, nptrs, offset=skip)
-        idx_words = b"".join(struct.pack("<Q", self._assign(p, index, queue))
-                             for p in ptrs)
-        chunks.append(_REC_HEADER.pack(_REC_OBJ, int(tag), size))
-        chunks.append(payload[:skip] + idx_words)
-
-    def _emit_sequence(self, heap: ManagedHeap, addr: int, tag: TypeTag,
-                       size: int, index: Dict[int, int], queue: List[Tuple],
-                       chunks: List[bytes]) -> None:
-        """Emit a LIST/TUPLE; contiguous primitive children become one
-        queued packed record (unless any element was already reached
-        through another reference, where packing would break indexing)."""
-        payload = heap.space.read(addr + HEADER_SIZE, size)
-        count = enc.unpack_u64(payload, 0)
-        ptrs = enc.unpack_pointers(payload, count, offset=8)
-        run = self._detect_packed_run(heap, ptrs)
-        if run is not None and not any(p in index for p in ptrs):
-            elem_tag, raw = run
-            base_idx = len(index)
-            for i, p in enumerate(ptrs):
-                index[p] = base_idx + i
-            queue.append(("packed", elem_tag, raw, len(ptrs)))
-            idx_words = b"".join(struct.pack("<Q", base_idx + i)
-                                 for i in range(len(ptrs)))
-        else:
-            idx_words = b"".join(
-                struct.pack("<Q", self._assign(p, index, queue))
-                for p in ptrs)
-        chunks.append(_REC_HEADER.pack(_REC_OBJ, int(tag), size))
-        chunks.append(payload[:8] + idx_words)
+    def _charge(self, heap: ManagedHeap, op: str, per_object_ns: int,
+                objects: int, nbytes: int) -> None:
+        """Charge one *op*: the per-object constant plus the byte copy."""
+        category = self.prefix + op
+        per_object = objects * per_object_ns
+        copy = transfer_time_ns(nbytes, heap.cost.serialize_copy_gbps)
+        heap.ledger.charge(per_object, category)
+        heap.ledger.charge(copy, category)
+        hub = _telemetry()
+        if hub is not None:
+            hub.op(heap.space.name, "runtime", category, heap.ledger,
+                   per_object + copy, objects=objects, bytes=nbytes)
 
     @staticmethod
-    def _detect_packed_run(heap: ManagedHeap, ptrs: List[int]
-                           ) -> Optional[Tuple[TypeTag, bytes]]:
-        n = len(ptrs)
-        if n < _PACK_MIN:
-            return None
-        base = ptrs[0]
-        arr = np.asarray(ptrs, dtype=np.uint64)
-        if not bool(np.all(np.diff(arr) == _PRIM_SLOT)):
-            return None
-        tag, _flags, size = heap.header_of(base)
-        if size != 8 or tag not in (TypeTag.INT, TypeTag.FLOAT):
-            return None
-        raw = heap.space.read(base, n * _PRIM_SLOT)
-        words = np.frombuffer(raw, dtype=np.uint64).reshape(n, 3)
-        if not bool(np.all(words[:, 0] == words[0, 0])):
-            return None
-        return tag, words[:, 2].tobytes()
+    def _child_indices(heap: ManagedHeap, tag: TypeTag, payload: bytes,
+                       skip: int, index: Dict[int, int],
+                       queue: List[Tuple]) -> bytes:
+        """The pointer slots of a container payload as stream indices.
+
+        A LIST/TUPLE's contiguous primitive children become one queued
+        packed record (unless any element was already reached through
+        another reference, where packing would break indexing)."""
+        ptrs = enc.unpack_pointers(
+            payload, (len(payload) - skip) // PTR_SIZE, offset=skip)
+        run = (heap.packed_run(ptrs)
+               if tag in (TypeTag.LIST, TypeTag.TUPLE) else None)
+        if run is not None and not any(p in index for p in ptrs):
+            elem_tag, values = run
+            indices = range(len(index), len(index) + len(ptrs))
+            index.update(zip(ptrs, indices))
+            queue.append(("packed", elem_tag, values.tobytes(), len(ptrs)))
+            return enc.pack_pointers(indices)
+        indices = []
+        for ptr in ptrs:
+            idx = index.get(ptr)
+            if idx is None:
+                idx = index[ptr] = len(index)
+                queue.append(("obj", ptr))
+            indices.append(idx)
+        return enc.pack_pointers(indices)
 
     # ---------------------------------------------------------- deserialize
 
     def deserialize(self, heap: ManagedHeap, state: SerializedState) -> int:
-        """Reconstruct the graph on *heap*; returns the new root address."""
-        cost = heap.cost
-        ledger = heap.ledger
-        category = self.prefix + "deserialize"
+        """Reconstruct the graph on *heap*; returns the new root address.
+
+        Scan, allocate, write: the whole stream is validated before the
+        first allocation, so a bad stream raises
+        :class:`SerializationError` and leaves the heap as it was.
+        """
         data = state.data
-        if len(data) < 8:
+        records, sizes, total = self._scan(data)
+        bases = heap.allocator.alloc_run(sizes)
+        addrs: List[int] = []  # stream index -> object address
+        for (kind, _tag, count, _off, _skip), base in zip(records, bases):
+            if kind == _REC_OBJ:
+                addrs.append(base)
+            else:
+                addrs.extend(range(base, base + count * _PRIM_SLOT,
+                                   _PRIM_SLOT))
+
+        # exactly adjacent objects are one write (one page walk per page
+        # of the merged range); the allocator's 16-byte alignment leaves
+        # a gap after most, and those are written on their own
+        writes: List[Tuple[int, List[bytes]]] = []
+        end = -1
+        for (kind, tag, length, off, skip), base in zip(records, bases):
+            if kind == _REC_PACKED:
+                blob = encode_prim_run(tag, data[off:off + 8 * length])
+            elif skip is None:
+                blob = _OBJ_HEADER(tag, 0, length) + data[off:off + length]
+            else:
+                indices = enc.unpack_pointers(
+                    data, (length - skip) // PTR_SIZE, off + skip)
+                blob = (_OBJ_HEADER(tag, 0, length) + data[off:off + skip]
+                        + enc.pack_pointers([addrs[i] for i in indices]))
+            if base == end:
+                writes[-1][1].append(blob)
+            else:
+                writes.append((base, [blob]))
+            end = base + len(blob)
+        heap.space.write_batch(
+            (addr, b"".join(parts)) for addr, parts in writes)
+        heap.objects_boxed += total
+
+        # the per-object constant subsumes allocator work (as measured for
+        # pickle in Section 2.4: ~12 ms for ~400 k sub-objects)
+        self._charge(heap, "deserialize",
+                     heap.cost.deserialize_per_object_ns, total, len(data))
+        return addrs[0]
+
+    @staticmethod
+    def _scan(data: bytes) -> Tuple[List[Tuple], List[int], int]:
+        """Validate *data* and slice it into records, allocating nothing.
+
+        Returns ``(records, sizes, object_count)``: one ``(kind, tag,
+        length-or-count, payload offset, pointer-slot offset or None)``
+        and one allocation size per record.
+        """
+        end = len(data)
+        if end < 8:
             raise SerializationError("truncated stream: missing header")
         (total,) = struct.unpack_from("<Q", data, 0)
         # sanity bound: even maximally packed records need >= 8 bytes per
         # object, so a larger count is a forged/corrupt header (and would
         # otherwise drive an unbounded host allocation)
-        if total > len(data):
+        if not 0 < total <= end:
             raise SerializationError(
-                f"corrupt stream: claims {total} objects in "
-                f"{len(data)} bytes")
-        pos = 8
-
-        # phase 1: scan records, allocate every object
+                f"corrupt stream: claims {total} objects in {end} bytes")
         records: List[Tuple] = []
-        addrs: List[Optional[int]] = [None] * total
-        next_index = 0
-        while pos < len(data):
-            if pos + _REC_HEADER.size > len(data):
+        sizes: List[int] = []
+        unpack_header, header_size = _REC_HEADER.unpack_from, _REC_HEADER.size
+        known_tags, ptr_offset = len(enc.TAGS), enc.POINTER_OFFSET.get
+        pos = 8
+        seen = 0
+        while pos < end:
+            if pos + header_size > end:
                 raise SerializationError("truncated record header")
-            kind, tag, length = _REC_HEADER.unpack_from(data, pos)
-            pos += _REC_HEADER.size
-            if kind == _REC_OBJ:
-                if pos + length > len(data):
-                    raise SerializationError("truncated object payload")
-                payload = data[pos:pos + length]
-                pos += length
-                addr = heap.allocator.alloc(HEADER_SIZE + length)
-                addrs[next_index] = addr
-                records.append((_REC_OBJ, TypeTag(tag), addr, payload))
-                next_index += 1
-            elif kind == _REC_PACKED:
-                count = length
-                if pos + 8 * count > len(data):
-                    raise SerializationError("truncated packed record")
-                raw = data[pos:pos + 8 * count]
-                pos += 8 * count
-                base = heap.allocator.alloc(count * _PRIM_SLOT)
-                for i in range(count):
-                    addrs[next_index + i] = base + i * _PRIM_SLOT
-                records.append((_REC_PACKED, TypeTag(tag), base, raw, count))
-                next_index += count
+            kind, tag, length = unpack_header(data, pos)
+            pos += header_size
+            if kind == _REC_OBJ and tag < known_tags:
+                nbytes = length
+                sizes.append(HEADER_SIZE + length)
+                seen += 1
+            elif kind == _REC_PACKED and tag in _PACKED_TAGS and length:
+                nbytes = 8 * length
+                sizes.append(length * _PRIM_SLOT)
+                seen += length
             else:
-                raise SerializationError(f"corrupt stream: kind {kind}")
-        if next_index != total:
+                raise SerializationError(
+                    f"corrupt record: kind {kind}, tag {tag}, length {length}")
+            if pos + nbytes > end:
+                raise SerializationError("truncated record payload")
+            skip = ptr_offset(tag) if kind == _REC_OBJ else None
+            if skip is not None:
+                nptrs, rest = divmod(length - skip, PTR_SIZE)
+                if nptrs < 0 or rest:
+                    raise SerializationError(
+                        f"corrupt stream: {length}-byte container")
+                # checked here, unpacked again when written: holding every
+                # container's indices across the allocation costs ~40 B
+                # per child of peak memory
+                last = max(enc.unpack_pointers(data, nptrs, pos + skip),
+                           default=0)
+                if last >= total:
+                    raise SerializationError(
+                        f"corrupt stream: child index {last} of {total} "
+                        f"objects")
+            records.append((kind, tag, length, pos, skip))
+            pos += nbytes
+        if seen != total:
             raise SerializationError(
-                f"corrupt stream: {next_index} records, expected {total}")
-
-        # phase 2: write payloads with indices resolved to addresses;
-        # consecutive allocations coalesce into one buffered write
-        pend_addr = None
-        pend = bytearray()
-
-        def flush():
-            nonlocal pend_addr
-            if pend_addr is not None and pend:
-                heap.space.write(pend_addr, bytes(pend))
-            pend_addr = None
-            pend.clear()
-
-        def emit(addr: int, data: bytes) -> None:
-            nonlocal pend_addr
-            if pend_addr is not None and pend_addr + len(pend) == addr:
-                pend.extend(data)
-                return
-            flush()
-            pend_addr = addr
-            pend.extend(data)
-
-        for rec in records:
-            if rec[0] == _REC_OBJ:
-                _kind, tag, addr, payload = rec
-                if tag in CONTAINER_TAGS or tag == TypeTag.TREE:
-                    payload = self._fix_pointers(tag, payload, addrs)
-                emit(addr, enc.pack_header(tag, len(payload)) + payload)
-                heap.objects_boxed += 1
-            else:
-                _kind, tag, base, raw, count = rec
-                header = enc.pack_header(tag, 8)
-                buf = bytearray(count * _PRIM_SLOT)
-                for i in range(count):
-                    off = i * _PRIM_SLOT
-                    buf[off:off + HEADER_SIZE] = header
-                    buf[off + HEADER_SIZE:off + _PRIM_SLOT] = \
-                        raw[i * 8:(i + 1) * 8]
-                emit(base, bytes(buf))
-                heap.objects_boxed += count
-        flush()
-
-        # the per-object constant subsumes allocator work (as measured for
-        # pickle in Section 2.4: ~12 ms for ~400 k sub-objects)
-        per_object = total * cost.deserialize_per_object_ns
-        copy = transfer_time_ns(len(data), cost.serialize_copy_gbps)
-        ledger.charge(per_object, category)
-        ledger.charge(copy, category)
-        hub = _telemetry()
-        if hub is not None:
-            hub.op(heap.space.name, "runtime", category, ledger,
-                   per_object + copy, objects=total, bytes=len(data))
-        if not addrs or addrs[0] is None:
-            raise SerializationError("empty stream")
-        return addrs[0]
-
-    @staticmethod
-    def _fix_pointers(tag: TypeTag, payload: bytes,
-                      addrs: List[Optional[int]]) -> bytes:
-        skip = {TypeTag.DATAFRAME: 16, TypeTag.MLMODEL: 24}.get(tag, 8)
-        nptrs = (len(payload) - skip) // PTR_SIZE
-        indices = enc.unpack_pointers(payload, nptrs, offset=skip)
-        fixed = b"".join(struct.pack("<Q", addrs[i]) for i in indices)
-        return payload[:skip] + fixed
+                f"corrupt stream: {seen} records, expected {total}")
+        return records, sizes, total

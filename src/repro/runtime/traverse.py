@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-import numpy as np
-
 from repro.errors import SerializationError
 from repro.mem.layout import page_round_down
-from repro.runtime.heap import _PACK_MIN, _PRIM_SLOT, ManagedHeap
+from repro.runtime.heap import (_PACK_MIN, _PRIM_SLOT, ManagedHeap,
+                                is_prim_run)
 from repro.runtime.objects import HEADER_SIZE, TypeTag
 from repro.units import PAGE_SIZE
 
@@ -70,13 +69,9 @@ class ObjectTraverser:
 
     def _packed_block(self, ptrs: List[int]):
         """(base, nbytes) when *ptrs* form a contiguous stride-24 run."""
-        n = len(ptrs)
-        if n < _PACK_MIN:
+        if not is_prim_run(ptrs):
             return None
-        arr = np.asarray(ptrs, dtype=np.uint64)
-        if not bool(np.all(np.diff(arr) == _PRIM_SLOT)):
-            return None
-        return int(ptrs[0]), n * _PRIM_SLOT
+        return int(ptrs[0]), len(ptrs) * _PRIM_SLOT
 
     def _dense_block(self, ptrs: List[int]):
         """(base, nbytes) when *ptrs* sit in one dense allocation region

@@ -8,6 +8,9 @@ from repro.runtime.serializer import SerializedState, Serializer
 from repro.runtime.values import DataFrameValue, ImageValue, NdArrayValue
 from repro.units import DEFAULT_COST_MODEL
 
+from ..parent_reference import (allocator_state, deserialize_per_object,
+                                space_state)
+from .conftest import CONS_BASE, build_heap
 from .test_heap import make_model
 
 
@@ -19,11 +22,14 @@ def transfer(producer, consumer, value):
     return consumer.load(new_root), state
 
 
-@pytest.mark.parametrize("value", [
+SMALL_VALUES = [
     None, 42, -1.5, "text", b"bytes", True,
     [1, 2, 3], {"k": "v"}, (1, (2, (3,))),
     {"nested": {"deeply": {"a": [1, 2, {"b": None}]}}},
-])
+]
+
+
+@pytest.mark.parametrize("value", SMALL_VALUES)
 def test_roundtrip_across_heaps(two_heaps, value):
     _e, _m0, _m1, producer, consumer = two_heaps
     result, _state = transfer(producer, consumer, value)
@@ -150,3 +156,58 @@ def test_dataframe_sub_object_blowup(two_heaps):
     root = producer.box(df)
     state = Serializer().serialize(producer, root)
     assert state.object_count > 2 * ncells  # every cell is an object
+
+
+def every_roundtrip_value():
+    """The values this file round-trips, in one list."""
+    shared = [1, 2]
+    cycle = [7]
+    cycle.append(cycle)
+    return SMALL_VALUES + [
+        list(range(10_000)),
+        [i / 7 for i in range(5_000)],
+        [shared, shared, shared],
+        cycle,
+        NdArrayValue(np.arange(1000, dtype=np.float32).reshape(10, 100)),
+        DataFrameValue({"sym": ["a", "b"], "px": [1.0, 2.0],
+                        "qty": [10, 20]}),
+        {"img": ImageValue(16, 16, bytes(256)),
+         "model": make_model(n_trees=4)},
+        ["sixteen-byte-str", "sixteen-byte-st2", "x" * 32, 5, "y" * 48],
+    ]
+
+
+@pytest.mark.parametrize("dirty", [False, True], ids=["fresh", "fragmented"])
+def test_deserialize_equals_the_per_object_algorithm(two_heaps, dirty):
+    """Run-at-a-time reconstruction against the per-object reference on
+    an identically prepared second consumer: same root address, heap
+    bytes, page table, faults, allocator state and ledger totals — on a
+    fresh heap (the run is carved in one step) and on a reused one with
+    holes in its free list (first-fit fills them one by one)."""
+    _e, _m0, m1, producer, consumer = two_heaps
+    reference = build_heap(m1, CONS_BASE, "consumer")  # its own space
+    ser = Serializer()
+    for heap in (consumer, reference):
+        if dirty:
+            keep = [heap.box(value) for value in ("a" * 100, list(range(80)),
+                                                  {"k": [1.5] * 70}, "tail")]
+            for addr in keep[1::2]:
+                heap.add_root(addr)
+            heap.gc()
+    for value in every_roundtrip_value():
+        state = ser.serialize(producer, producer.box(value))
+        root = ser.deserialize(consumer, state)
+        assert root == deserialize_per_object(reference, state)
+        assert allocator_state(consumer.allocator) == \
+            allocator_state(reference.allocator)
+        assert paged_state(consumer) == paged_state(reference)
+        assert consumer.objects_boxed == reference.objects_boxed
+    assert consumer.load(root) == value
+
+
+def paged_state(heap):
+    """Space state keyed by page; the two consumers share one machine's
+    frames, so which pfn backs a page is not comparable."""
+    state = space_state(heap.space)
+    state["pfn"] = sorted(state["pfn"])
+    return state

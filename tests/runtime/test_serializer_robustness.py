@@ -37,6 +37,61 @@ def test_truncated_stream_rejected():
             try_deserialize(state.data[:cut])
 
 
+def record(kind, tag, length, payload=b""):
+    return struct.pack("<BIQ", kind, tag, length) + payload
+
+
+def valid_stream(value):
+    _e, producer, _c = make_pair()
+    return Serializer().serialize(producer.heap,
+                                  producer.heap.box(value)).data
+
+
+def dangling_index_stream():
+    data = bytearray(valid_stream([1, 2]))
+    # count u64 | rec_hdr(1+4+8) | list payload: count, then 2 indices
+    data[8 + 13 + 8:8 + 13 + 16] = struct.pack("<Q", 0xFFFF)
+    return bytes(data)
+
+
+BAD_STREAMS = {
+    "unknown-tag": struct.pack("<Q", 1) + record(0, 99, 8, b"x" * 8),
+    "child-index-past-count": dangling_index_stream(),
+    "truncated-after-eight-objects": valid_stream(list(range(7)))[:-5],
+    "packed-zero-elements":
+        struct.pack("<Q", 2) + record(0, 6, 8, struct.pack("<Q", 0))
+        + record(1, 2, 0),
+    "packed-of-lists":
+        struct.pack("<Q", 3) + record(0, 6, 24, struct.pack("<QQQ", 2, 1, 2))
+        + record(1, 6, 2, b"\0" * 16),
+    "container-shorter-than-fixed-part":
+        struct.pack("<Q", 1) + record(0, 10, 8, b"\0" * 8),
+    "container-with-half-a-pointer":
+        struct.pack("<Q", 1) + record(0, 6, 12, b"\0" * 12),
+    "no-objects": struct.pack("<Q", 0),
+    "fewer-records-than-claimed":
+        struct.pack("<Q", 2) + record(0, 2, 8, b"\0" * 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STREAMS))
+def test_bad_stream_is_rejected_before_any_allocation(name):
+    """Scan-before-allocate: every malformed stream is a typed
+    ``SerializationError`` and the consumer heap is left as it was —
+    nothing allocated, nothing written, nothing charged."""
+    heap = fresh_consumer()
+    keep = heap.box(["survivor", 1.5])
+    before = (heap.bytes_in_use(), heap.allocator.allocations(),
+              heap.objects_boxed, heap.space.resident_pages(),
+              heap.ledger.breakdown())
+    with pytest.raises(SerializationError):
+        Serializer().deserialize(heap, SerializedState(BAD_STREAMS[name], 0))
+    assert (heap.bytes_in_use(), heap.allocator.allocations(),
+            heap.objects_boxed, heap.space.resident_pages(),
+            heap.ledger.breakdown()) == before
+    assert heap.load(keep) == ["survivor", 1.5]
+
+
 def test_wrong_object_count_rejected():
     _e, producer, _c = make_pair()
     state = Serializer().serialize(producer.heap, producer.heap.box([1]))
