@@ -5,8 +5,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import AddressConflict, SegmentationFault
-from repro.mem.layout import (AddressRange, SegmentLayout, page_number,
-                              page_offset)
+from repro.mem.layout import AddressRange, SegmentLayout, page_number
 from repro.mem.pagetable import (PTE, PTE_PRESENT, PTE_WRITE,
                                  PageTable)
 from repro.mem.physical import PhysicalMemory
@@ -133,18 +132,8 @@ class AddressSpace:
 
     def read(self, vaddr: int, length: int) -> bytes:
         """Read *length* bytes, crossing page boundaries as needed."""
-        hub = _telemetry()
-        if hub is not None and hub.lineage is not None:
-            hub.lineage.touched(self.name, vaddr, length)
-        out = bytearray()
-        while length > 0:
-            pte = self.translate(vaddr)
-            off = page_offset(vaddr)
-            chunk = min(length, PAGE_SIZE - off)
-            out += self.physical.frame(pte.pfn).data[off:off + chunk]
-            vaddr += chunk
-            length -= chunk
-        return bytes(out)
+        with PageCursor(self) as cursor:
+            return cursor.read(vaddr, length)
 
     def write(self, vaddr: int, data: bytes) -> None:
         """Write *data*, breaking CoW and crossing pages as needed."""
@@ -156,7 +145,9 @@ class AddressSpace:
         A chunk landing on the page the previous chunk translated reuses
         that frame — nothing inside one call can unmap or re-protect a
         page this call has just made writable — and the page-table walks
-        so skipped are charged once at the end: aggregated, never dropped.
+        so skipped are charged in aggregate, never dropped: before the
+        next real walk (a fault handler may read the ledger) and when
+        the call ends.
         """
         hub = _telemetry()
         lineage = hub.lineage if hub is not None else None
@@ -165,15 +156,24 @@ class AddressSpace:
         frame_data = None
         try:
             for vaddr, data in items:
-                if lineage is not None:
-                    lineage.touched(self.name, vaddr, len(data))
-                pos = 0
                 remaining = len(data)
+                if lineage is not None:
+                    lineage.touched(self.name, vaddr, remaining)
+                off = vaddr & (PAGE_SIZE - 1)
+                if 0 < remaining <= PAGE_SIZE - off \
+                        and vaddr >> PAGE_SHIFT == last_vpn:
+                    skipped += 1
+                    frame_data[off:off + remaining] = data
+                    continue
+                pos = 0
                 while remaining > 0:
                     vpn = vaddr >> PAGE_SHIFT
                     if vpn == last_vpn:
                         skipped += 1
                     else:
+                        self.ledger.charge(
+                            skipped * self.cost.page_table_walk_ns, "mmu")
+                        skipped = 0
                         pte = self.translate(vaddr, write=True)
                         frame_data = self.physical.frame(pte.pfn).data
                         last_vpn = vpn
@@ -185,9 +185,7 @@ class AddressSpace:
                     pos += chunk
                     remaining -= chunk
         finally:
-            if skipped:
-                self.ledger.charge(skipped * self.cost.page_table_walk_ns,
-                                   "mmu")
+            self.ledger.charge(skipped * self.cost.page_table_walk_ns, "mmu")
 
     def read_u64(self, vaddr: int) -> int:
         return int.from_bytes(self.read(vaddr, 8), "little")
@@ -226,3 +224,63 @@ class AddressSpace:
 
     def resident_bytes(self) -> int:
         return self.resident_pages() * PAGE_SIZE
+
+
+class PageCursor:
+    """The read-side dual of :meth:`AddressSpace.write_batch`'s last-page
+    cache, scoped to one read-only walk of a heap (``with`` block).
+
+    A read that stays on the page the previous read translated reuses
+    that frame — nothing may write, remap or unmap while the cursor is
+    open, which is why it lives for one call — and the page-table walks
+    so skipped are charged in aggregate, never dropped: before the next
+    real walk (a remote fault records spans at ``ledger.pending``
+    offsets) and when the block ends.
+    """
+
+    __slots__ = ("_space", "_lineage", "_vpn", "_data", "_skipped")
+
+    def __init__(self, space: AddressSpace):
+        hub = _telemetry()
+        self._space = space
+        self._lineage = hub.lineage if hub is not None else None
+        self._vpn = -1
+        self._data = None
+        self._skipped = 0
+
+    def read(self, vaddr: int, length: int) -> bytes:
+        """Read *length* bytes, crossing page boundaries as needed."""
+        if self._lineage is not None:
+            self._lineage.touched(self._space.name, vaddr, length)
+        off = vaddr & (PAGE_SIZE - 1)
+        if 0 < length <= PAGE_SIZE - off and vaddr >> PAGE_SHIFT == self._vpn:
+            self._skipped += 1
+            return bytes(self._data[off:off + length])
+        out = bytearray()
+        while length > 0:
+            if vaddr >> PAGE_SHIFT == self._vpn:
+                self._skipped += 1
+            else:
+                self.flush()
+                pte = self._space.translate(vaddr)
+                self._data = self._space.physical.frame(pte.pfn).data
+                self._vpn = vaddr >> PAGE_SHIFT
+            off = vaddr & (PAGE_SIZE - 1)
+            chunk = min(length, PAGE_SIZE - off)
+            out += self._data[off:off + chunk]
+            vaddr += chunk
+            length -= chunk
+        return bytes(out)
+
+    def flush(self) -> None:
+        """Charge the walks skipped since the last real one."""
+        space = self._space
+        space.ledger.charge(self._skipped * space.cost.page_table_walk_ns,
+                            "mmu")
+        self._skipped = 0
+
+    def __enter__(self) -> "PageCursor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.flush()

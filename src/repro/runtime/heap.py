@@ -6,37 +6,44 @@ Python value by chasing those pointers through the owning address space —
 which transparently includes rmap'd remote ranges, so a consumer can ``load``
 a producer's root pointer directly.
 
-Fast paths: homogeneous primitive lists (the paper's ``list(int)``
-microbenchmark reaches 5,000,000 elements) are laid out as one contiguous
-stride-24 block and bulk-encoded/decoded.  Simulated cost is still charged
-per element; only host CPU time is saved.
+Both are loops over the per-type table in :mod:`repro.runtime.objects` and
+work a run at a time: ``box`` plans a window of objects, allocates them with
+one ``alloc_run`` and writes them with one ``write_batch``; ``load`` (like
+``gc``, traversal and the serializer) reads through one page cursor.
+Homogeneous primitive lists (the paper's ``list(int)`` microbenchmark reaches
+5,000,000 elements) are laid out as one contiguous stride-24 block and
+bulk-encoded/decoded.  Simulated cost is still charged per object; only host
+CPU time is saved.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.errors import RuntimeHeapError, SerializationError
-from repro.mem.address_space import AddressSpace
+from repro.mem.address_space import AddressSpace, PageCursor
 from repro.mem.layout import AddressRange
 from repro.mem.allocator import HeapAllocator
-from repro.runtime import objects as enc
-from repro.runtime.objects import (CODE_DTYPES, DTYPE_CODES,
-                                   HEADER_SIZE, PTR_SIZE, TypeTag)
-from repro.runtime.values import (DataFrameValue, ImageValue, MLModelValue,
-                                  NdArrayValue, TreeValue)
+from repro.runtime.objects import (EXACT_TYPES, HEADER_SIZE, HEADER_STRUCT,
+                                   LAYOUT, PTR_SIZE, TypeLayout, TypeTag,
+                                   layout_at, layout_of, pack_pointers,
+                                   pointer_slots)
+from repro.units import PAGE_SIZE
 
 _PRIM_SLOT = HEADER_SIZE + 8  # header + 8-byte payload, stride of packed runs
 _PACK_MIN = 64                # minimum list length for the packed layout
-_PACKED_TAGS = (TypeTag.INT, TypeTag.FLOAT)  # element types of packed runs
-_IMAGE_MODES = {"L": 0, "RGB": 1, "RGBA": 2}
-_IMAGE_CODES = {v: k for k, v in _IMAGE_MODES.items()}
+#: allocations ``box`` plans before it allocates and writes them; bounds
+#: what one call holds in host memory beside the heap itself
+_WINDOW = 256
 
 _CYCLE_SENTINEL = object()
+#: tag code -> decoder of the leaves a dense region read can decode
+_DENSE_DECODERS = tuple(row.decode if row.dense else None for row in LAYOUT)
 
 
 def is_prim_run(ptrs: List[int]) -> bool:
@@ -56,6 +63,154 @@ def encode_prim_run(tag: TypeTag, raw: bytes) -> bytes:
     words[:, 1] = 8         # payload size
     words[:, 2] = np.frombuffer(raw, dtype="<u8")
     return words.tobytes()
+
+
+def read_packed_run(cursor: PageCursor, ptrs: List[int]
+                    ) -> Optional[Tuple[TypeLayout, np.ndarray]]:
+    """``(element row, u64 payload column)`` when *ptrs* is a stride-24
+    homogeneous run of a packable type, read in bulk; else ``None``."""
+    if not is_prim_run(ptrs):
+        return None
+    row, size = layout_at(cursor.read(ptrs[0], HEADER_SIZE))
+    if size != 8 or row.run_code is None:
+        return None
+    raw = cursor.read(ptrs[0], len(ptrs) * _PRIM_SLOT)
+    words = np.frombuffer(raw, dtype=np.uint64).reshape(-1, 3)
+    # word 0 = tag|flags, word 1 = payload size; verify homogeneity
+    if not bool(np.all(words[:, 0] == words[0, 0])):
+        return None
+    return row, words[:, 2]
+
+
+def read_dense_span(cursor: PageCursor, ptrs: List[int]
+                    ) -> Optional[Tuple[int, int]]:
+    """``(start, nbytes)`` of the region holding *ptrs*' objects when they
+    sit in one dense allocation region (column cells and dict entries are
+    allocated back to back); else ``None``."""
+    n = len(ptrs)
+    if n < _PACK_MIN:
+        return None
+    lo, hi = min(ptrs), max(ptrs)
+    if hi - lo > 256 * n:
+        return None
+    _row, size_hi = layout_at(cursor.read(hi, HEADER_SIZE))
+    return lo, hi + HEADER_SIZE + size_hi - lo
+
+
+class _BoxRun:
+    """One ``box()`` call, as the pipeline ``deserialize`` is: objects are
+    planned in allocation order and, a window at a time, allocated by one
+    ``alloc_run`` and written by one ``write_batch`` — at the addresses,
+    in the write order and as the one write per object that allocating
+    and writing each object on its own would give.
+
+    A planned object is named by its *slot*, its index in allocation
+    order; ``slots`` maps those already allocated to addresses.  ``writes``
+    holds the window's objects in write order (a container after its
+    children) as ``(slot, bytes, kids)``: ``None`` for a leaf or a packed
+    run, child slots for a container, ``(run slot, length)`` for a
+    sequence over a packed run.
+    """
+
+    __slots__ = ("heap", "memo", "slots", "sizes", "writes", "extra")
+
+    def __init__(self, heap: "ManagedHeap"):
+        self.heap = heap
+        # id(value) -> (slot, value): holding the value keeps its id from
+        # being given to a later temporary.  Containers only: a leaf needs
+        # no probe.
+        self.memo: Dict[int, Tuple[int, Any]] = {}
+        self.slots = array("Q")
+        self.sizes: List[int] = []
+        self.writes: List[Tuple] = []
+        self.extra = 0  # objects beyond one per allocation (packed runs)
+
+    def plan(self, values: Iterable) -> array:
+        """Plan each of *values*; returns their slots."""
+        slots, sizes, writes = self.slots, self.sizes, self.writes
+        exact, header = EXACT_TYPES.get, HEADER_STRUCT.pack
+        kids = array("Q")
+        for value in values:
+            if len(sizes) >= _WINDOW:
+                self.flush()
+            row = exact(type(value)) or layout_of(value)
+            if row.encode is None:
+                kids.append(self.plan_container(row, value))
+                continue
+            payload = row.encode(value)
+            size = len(payload)
+            slot = len(slots) + len(sizes)
+            kids.append(slot)
+            sizes.append(HEADER_SIZE + size)
+            writes.append((slot, header(row.tag, 0, size) + payload, None))
+            if size >= PAGE_SIZE:
+                self.flush()  # written through: no window of large blobs
+        return kids
+
+    def plan_container(self, row: TypeLayout, value: Any) -> int:
+        hit = self.memo.get(id(value))
+        if hit is not None:
+            return hit[0]
+        fixed, children = row.split(value)
+        nbytes = len(fixed) + PTR_SIZE * len(children)
+        head = HEADER_STRUCT.pack(row.tag, 0, nbytes) + fixed
+        if row.generic:
+            kids = self.plan_packed(value) if row.sequence else None
+            slot = self.allocate(HEADER_SIZE + nbytes)
+            self.memo[id(value)] = (slot, value)
+            if kids is None:
+                kids = self.plan(children)
+        else:
+            kids = self.plan(children)
+            slot = self.allocate(HEADER_SIZE + nbytes)
+            self.memo[id(value)] = (slot, value)
+        self.writes.append((slot, head, kids))
+        return slot
+
+    def plan_packed(self, value) -> Optional[Tuple[int, int]]:
+        """Plan a long homogeneous int/float sequence as one stride-24
+        run; returns ``(the run's slot, its length)``."""
+        n = len(value)
+        row = EXACT_TYPES.get(type(value[0])) if n >= _PACK_MIN else None
+        if row is None or row.run_code is None \
+                or set(map(type, value)) != {type(value[0])}:
+            return None
+        blob = encode_prim_run(
+            row.tag, struct.pack(f"<{n}{row.run_code}", *value))
+        slot = self.allocate(len(blob))
+        self.extra += n - 1
+        self.writes.append((slot, blob, None))
+        if len(blob) >= PAGE_SIZE:
+            self.flush()
+        return slot, n
+
+    def allocate(self, nbytes: int) -> int:
+        """Plan one allocation; returns its slot."""
+        self.sizes.append(nbytes)
+        return len(self.slots) + len(self.sizes) - 1
+
+    def flush(self) -> None:
+        """Allocate the window's objects and write the completed ones."""
+        heap, sizes = self.heap, self.sizes
+        self.slots.extend(heap.allocator.alloc_run(sizes))
+        objects = len(sizes) + self.extra
+        heap.ledger.charge(objects * heap.cost.alloc_ns, "alloc")
+        heap.space.write_batch(self._items())
+        heap.objects_boxed += objects
+        sizes.clear()
+        self.writes.clear()
+        self.extra = 0
+
+    def _items(self) -> Iterator[Tuple[int, bytes]]:
+        slots = self.slots
+        for slot, blob, kids in self.writes:
+            if type(kids) is tuple:
+                base = slots[kids[0]]
+                kids = range(base, base + kids[1] * _PRIM_SLOT, _PRIM_SLOT)
+            elif kids is not None:
+                kids = [slots[kid] for kid in kids]
+            yield slots[slot], (blob if kids is None
+                                else blob + pack_pointers(kids))
 
 
 class ManagedHeap:
@@ -97,179 +252,30 @@ class ManagedHeap:
 
     # ------------------------------------------------------------------ box
 
-    #: memo key pinning temporaries for the lifetime of one ``box()``.
-    #: The memo is keyed by ``id(value)``; any value constructed *during*
-    #: boxing (e.g. a column materialized as ``list(cells)``) must stay
-    #: referenced until the top-level ``box()`` returns, or a later
-    #: temporary can reuse the same ``id`` and take a stale memo hit —
-    #: silently aliasing one object's heap data to another's.  ``id()``
-    #: is always non-negative, so ``-1`` can never collide with a real key.
-    _KEEPALIVE = -1
-
     def box(self, value: Any) -> int:
-        """Write *value* into the heap; returns the root object's address."""
-        memo: Dict[int, Any] = {self._KEEPALIVE: []}
-        return self._box(value, memo)
-
-    def _alloc(self, nbytes: int) -> int:
-        self.ledger.charge(self.cost.alloc_ns, "alloc")
-        return self.allocator.alloc(nbytes)
-
-    def _write_object(self, addr: int, tag: TypeTag, payload: bytes) -> None:
-        self.space.write(addr, enc.pack_header(tag, len(payload)) + payload)
-        self.objects_boxed += 1
-
-    def _box(self, value: Any, memo: Dict[int, int]) -> int:
-        key = id(value)
-        if key in memo:
-            return memo[key]
-
-        if value is None:
-            return self._box_scalar(TypeTag.NONE, enc.pack_u64(0))
-        if isinstance(value, bool):
-            return self._box_scalar(TypeTag.BOOL, enc.pack_u64(int(value)))
-        if isinstance(value, (int, np.integer)):
-            return self._box_scalar(TypeTag.INT, enc.pack_i64(int(value)))
-        if isinstance(value, (float, np.floating)):
-            return self._box_scalar(TypeTag.FLOAT, enc.pack_f64(float(value)))
-        if isinstance(value, str):
-            return self._box_scalar(TypeTag.STR, value.encode("utf-8"))
-        if isinstance(value, (bytes, bytearray)):
-            return self._box_scalar(TypeTag.BYTES, bytes(value))
-        if isinstance(value, (list, tuple)):
-            return self._box_sequence(value, memo)
-        if isinstance(value, dict):
-            return self._box_dict(value, memo)
-        if isinstance(value, np.ndarray):
-            return self._box_ndarray(NdArrayValue(value))
-        if isinstance(value, NdArrayValue):
-            return self._box_ndarray(value)
-        if isinstance(value, DataFrameValue):
-            return self._box_dataframe(value, memo)
-        if isinstance(value, ImageValue):
-            return self._box_image(value)
-        if isinstance(value, MLModelValue):
-            return self._box_model(value, memo)
-        if isinstance(value, TreeValue):
-            return self._box_tree(value, memo)
-        raise SerializationError(
-            f"cannot box value of type {type(value).__name__}")
-
-    def _box_scalar(self, tag: TypeTag, payload: bytes) -> int:
-        addr = self._alloc(HEADER_SIZE + len(payload))
-        self._write_object(addr, tag, payload)
-        return addr
-
-    def _box_sequence(self, value, memo: Dict[int, int]) -> int:
-        tag = TypeTag.LIST if isinstance(value, list) else TypeTag.TUPLE
-        child_addrs = self._try_box_packed(value)
-        # allocate the container before boxing children one by one, so
-        # cycles resolve through memo
-        addr = self._alloc(HEADER_SIZE + 8 + PTR_SIZE * len(value))
-        memo[id(value)] = addr
-        if child_addrs is None:
-            child_addrs = [self._box(child, memo) for child in value]
-        payload = enc.pack_u64(len(value)) + enc.pack_pointers(child_addrs)
-        self._write_object(addr, tag, payload)
-        return addr
-
-    def _try_box_packed(self, value) -> Optional[List[int]]:
-        """Bulk-box a long homogeneous int/float list as a stride-24 block."""
-        n = len(value)
-        if n < _PACK_MIN:
-            return None
-        if all(type(v) is int for v in value):
-            tag, code = TypeTag.INT, "q"
-        elif all(type(v) is float for v in value):
-            tag, code = TypeTag.FLOAT, "d"
-        else:
-            return None
-        base = self.allocator.alloc(n * _PRIM_SLOT)
-        self.ledger.charge(n * self.cost.alloc_ns, "alloc")
-        self.space.write(base, encode_prim_run(
-            tag, struct.pack(f"<{n}{code}", *value)))
-        self.objects_boxed += n
-        return list(range(base, base + n * _PRIM_SLOT, _PRIM_SLOT))
-
-    def _box_dict(self, value: dict, memo: Dict[int, int]) -> int:
-        addr = self._alloc(HEADER_SIZE + 8 + 2 * PTR_SIZE * len(value))
-        memo[id(value)] = addr
-        ptrs: List[int] = []
-        for k, v in value.items():
-            ptrs.append(self._box(k, memo))
-            ptrs.append(self._box(v, memo))
-        payload = enc.pack_u64(len(value)) + enc.pack_pointers(ptrs)
-        self._write_object(addr, TypeTag.DICT, payload)
-        return addr
-
-    def _box_ndarray(self, value: NdArrayValue) -> int:
-        arr = value.array
-        dtype_name = arr.dtype.name
-        if dtype_name not in DTYPE_CODES:
-            raise SerializationError(f"unsupported ndarray dtype {dtype_name}")
-        shape = arr.shape
-        meta = enc.pack_u64(len(shape)) + b"".join(
-            enc.pack_u64(d) for d in shape)
-        meta += enc.pack_u64(DTYPE_CODES[dtype_name])
-        payload = meta + arr.tobytes()
-        addr = self._alloc(HEADER_SIZE + len(payload))
-        self._write_object(addr, TypeTag.NDARRAY, payload)
-        return addr
-
-    def _box_dataframe(self, value: DataFrameValue,
-                       memo: Dict[int, int]) -> int:
-        ptrs: List[int] = []
-        keepalive = memo[self._KEEPALIVE]
-        for name, cells in value.columns.items():
-            column = list(cells)
-            # pin the materialized column: its id() is a memo key, so it
-            # must outlive the whole box() call (see _KEEPALIVE)
-            keepalive.append(column)
-            ptrs.append(self._box(name, memo))
-            ptrs.append(self._box(column, memo))
-        payload = (enc.pack_u64(value.nrows) + enc.pack_u64(value.ncols)
-                   + enc.pack_pointers(ptrs))
-        addr = self._alloc(HEADER_SIZE + len(payload))
-        memo[id(value)] = addr
-        self._write_object(addr, TypeTag.DATAFRAME, payload)
-        return addr
-
-    def _box_image(self, value: ImageValue) -> int:
-        payload = (enc.pack_u64(value.width) + enc.pack_u64(value.height)
-                   + enc.pack_u64(_IMAGE_MODES[value.mode]) + value.pixels)
-        addr = self._alloc(HEADER_SIZE + len(payload))
-        self._write_object(addr, TypeTag.IMAGE, payload)
-        return addr
-
-    def _box_model(self, value: MLModelValue, memo: Dict[int, int]) -> int:
-        tree_ptrs = [self._box_tree(t, memo) for t in value.trees]
-        payload = (enc.pack_u64(value.n_features)
-                   + enc.pack_u64(value.n_classes)
-                   + enc.pack_u64(value.n_trees)
-                   + enc.pack_pointers(tree_ptrs))
-        addr = self._alloc(HEADER_SIZE + len(payload))
-        memo[id(value)] = addr
-        self._write_object(addr, TypeTag.MLMODEL, payload)
-        return addr
-
-    def _box_tree(self, value: TreeValue, memo: Dict[int, int]) -> int:
-        key = id(value)
-        if key in memo:
-            return memo[key]
-        arrays = [self._box_ndarray(NdArrayValue(a))
-                  for a in (value.feature, value.threshold, value.left,
-                            value.right, value.value)]
-        payload = enc.pack_u64(5) + enc.pack_pointers(arrays)
-        addr = self._alloc(HEADER_SIZE + len(payload))
-        memo[key] = addr
-        self._write_object(addr, TypeTag.TREE, payload)
-        return addr
+        """Write *value* into the heap; returns the root object's address.
+        All or nothing: when *value* cannot be boxed (an unsupported type,
+        a full heap) what the call had allocated is freed again."""
+        allocator = self.allocator
+        before = allocator.allocations()
+        run = _BoxRun(self)
+        try:
+            (root,) = run.plan((value,))
+            run.flush()
+        except BaseException:
+            # nothing else allocates or frees during the call, so its
+            # allocations are the newest entries of the allocator's table
+            for addr in allocator.allocations_dict()[before:]:
+                allocator.free(addr)
+            raise
+        return run.slots[root]
 
     # ----------------------------------------------------------------- load
 
     def header_of(self, addr: int) -> Tuple[TypeTag, int, int]:
         """(tag, flags, payload_size) of the object at *addr*."""
-        return enc.unpack_header(self.space.read(addr, HEADER_SIZE))
+        raw = self.space.read(addr, HEADER_SIZE)
+        return layout_at(raw)[0].tag, *HEADER_STRUCT.unpack(raw)[1:]
 
     def object_span(self, addr: int) -> Tuple[int, int]:
         """(start, total bytes) of the object at *addr*."""
@@ -279,9 +285,11 @@ class ManagedHeap:
     def load(self, addr: int) -> Any:
         """Rebuild the Python value rooted at *addr* (may chase remote
         pointers through an rmap'd VMA)."""
-        return self._load(addr, {})
+        with PageCursor(self.space) as cursor:
+            return self._load(cursor, addr, {})
 
-    def _load(self, addr: int, memo: Dict[int, Any]) -> Any:
+    def _load(self, cursor: PageCursor, addr: int,
+              memo: Dict[int, Any]) -> Any:
         if addr in memo:
             value = memo[addr]
             if value is _CYCLE_SENTINEL:
@@ -289,203 +297,60 @@ class ManagedHeap:
                     f"unsupported cycle through immutable object at "
                     f"{addr:#x}")
             return value
-        tag, _flags, size = self.header_of(addr)
-        if tag in (TypeTag.NONE, TypeTag.BOOL, TypeTag.INT, TypeTag.FLOAT,
-                   TypeTag.STR, TypeTag.BYTES, TypeTag.NDARRAY,
-                   TypeTag.IMAGE):
-            value = self._load_leaf(tag, addr, size)
-            memo[addr] = value
+        row, size = layout_at(cursor.read(addr, HEADER_SIZE))
+        payload = cursor.read(addr + HEADER_SIZE, size)
+        if row.decode is not None:
+            value = memo[addr] = row.decode(payload)
             return value
-        if tag in (TypeTag.LIST, TypeTag.TUPLE):
-            return self._load_sequence(tag, addr, size, memo)
-        if tag == TypeTag.DICT:
-            return self._load_dict(addr, size, memo)
-        if tag == TypeTag.DATAFRAME:
-            return self._load_dataframe(addr, size, memo)
-        if tag == TypeTag.MLMODEL:
-            return self._load_model(addr, size, memo)
-        if tag == TypeTag.TREE:
-            return self._load_tree(addr, size, memo)
-        raise SerializationError(f"unknown tag {tag} at {addr:#x}")
-
-    def _load_leaf(self, tag: TypeTag, addr: int, size: int) -> Any:
-        payload = self.space.read(addr + HEADER_SIZE, size)
-        if tag == TypeTag.NONE:
-            return None
-        if tag == TypeTag.BOOL:
-            return bool(enc.unpack_u64(payload))
-        if tag == TypeTag.INT:
-            return enc.unpack_i64(payload)
-        if tag == TypeTag.FLOAT:
-            return enc.unpack_f64(payload)
-        if tag == TypeTag.STR:
-            return payload.decode("utf-8")
-        if tag == TypeTag.BYTES:
-            return payload
-        if tag == TypeTag.NDARRAY:
-            return self._decode_ndarray(payload)
-        if tag == TypeTag.IMAGE:
-            width = enc.unpack_u64(payload, 0)
-            height = enc.unpack_u64(payload, 8)
-            mode = _IMAGE_CODES[enc.unpack_u64(payload, 16)]
-            return ImageValue(width, height, payload[24:], mode=mode)
-        raise SerializationError(f"not a leaf tag: {tag}")  # pragma: no cover
-
-    @staticmethod
-    def _decode_ndarray(payload: bytes) -> NdArrayValue:
-        ndim = enc.unpack_u64(payload, 0)
-        shape = tuple(enc.unpack_u64(payload, 8 + 8 * i)
-                      for i in range(ndim))
-        code = enc.unpack_u64(payload, 8 + 8 * ndim)
-        data = payload[16 + 8 * ndim:]
-        arr = np.frombuffer(data, dtype=CODE_DTYPES[code]).reshape(shape)
-        return NdArrayValue(arr.copy())
-
-    def _child_pointers(self, addr: int, size: int, skip: int = 8
-                        ) -> List[int]:
-        payload = self.space.read(addr + HEADER_SIZE, size)
-        count = (size - skip) // PTR_SIZE
-        return enc.unpack_pointers(payload, count, offset=skip)
-
-    def _load_sequence(self, tag: TypeTag, addr: int, size: int,
-                       memo: Dict[int, Any]) -> Any:
-        payload = self.space.read(addr + HEADER_SIZE, size)
-        count = enc.unpack_u64(payload, 0)
-        ptrs = enc.unpack_pointers(payload, count, offset=8)
-        packed = self._try_load_packed(ptrs)
-        if packed is None:
-            packed = self._try_load_dense(ptrs)
-        if packed is not None:
-            value = packed if tag == TypeTag.LIST else tuple(packed)
-            memo[addr] = value
-            return value
-        if tag == TypeTag.LIST:
-            out: List[Any] = []
-            memo[addr] = out
-            out.extend(self._load(p, memo) for p in ptrs)
-            return out
-        memo[addr] = _CYCLE_SENTINEL
-        value = tuple(self._load(p, memo) for p in ptrs)
-        memo[addr] = value
+        ptrs = pointer_slots(row, payload)
+        if row.generic:
+            run = read_packed_run(cursor, ptrs) if row.sequence else None
+            values = (self._dense_values(cursor, ptrs) if run is None
+                      else run[1].view("<" + run[0].run_code).tolist())
+            if values is not None:
+                value = memo[addr] = row.build(payload, values)
+                return value
+        # a container that can hold itself is memoised empty, then filled
+        value = memo[addr] = (_CYCLE_SENTINEL if row.fill is None
+                              else row.build(payload, []))
+        built = row.build(payload, [self._load(cursor, ptr, memo)
+                                    for ptr in ptrs])
+        if row.fill is None:
+            memo[addr] = built
+            return built
+        row.fill(value, built)
         return value
 
-    # Leaf tags decodable from a bulk region read.
-    _LEAF_TAGS = frozenset({TypeTag.NONE, TypeTag.BOOL, TypeTag.INT,
-                            TypeTag.FLOAT, TypeTag.STR, TypeTag.BYTES})
-
-    def _try_load_dense(self, ptrs: List[int]) -> Optional[List]:
-        """Bulk-decode leaf children allocated in one dense region.
-
-        Column cells and dict entries are allocated back-to-back, so one
-        region read replaces two reads per object.  Semantically identical
-        to element-wise loading (same bytes, same fault behaviour); bails
-        to the slow path when a child is a container or the region is
-        sparse.
-        """
-        n = len(ptrs)
-        if n < _PACK_MIN:
+    @staticmethod
+    def _dense_values(cursor: PageCursor, ptrs: List[int]) -> Optional[List]:
+        """Bulk-decode leaf children allocated in one dense region: one
+        region read replaces two reads per object (same bytes, same fault
+        behaviour).  ``None`` when a child is a container or the region
+        is sparse."""
+        span = read_dense_span(cursor, ptrs)
+        if span is None or span[1] > 512 * len(ptrs):
             return None
-        lo, hi = min(ptrs), max(ptrs)
-        if hi - lo > 256 * n:
-            return None
-        tag_hi, _flags, size_hi = self.header_of(hi)
-        total = hi + HEADER_SIZE + size_hi - lo
-        if total > 512 * n:
-            return None
-        raw = self.space.read(lo, total)
+        lo, total = span
+        raw = cursor.read(lo, total)
         out: List[Any] = []
-        unpack_header = enc.unpack_header
-        for p in ptrs:
-            off = p - lo
-            tag, _f, size = unpack_header(raw[off:off + HEADER_SIZE])
-            if tag not in self._LEAF_TAGS:
+        header, decoders = HEADER_STRUCT.unpack_from, _DENSE_DECODERS
+        for ptr in ptrs:
+            off = ptr - lo
+            tag, _flags, size = header(raw, off)
+            decode = decoders[tag]
+            if decode is None:
                 return None
-            payload = raw[off + HEADER_SIZE:off + HEADER_SIZE + size]
-            if tag == TypeTag.INT:
-                out.append(enc.unpack_i64(payload))
-            elif tag == TypeTag.STR:
-                out.append(payload.decode("utf-8"))
-            elif tag == TypeTag.FLOAT:
-                out.append(enc.unpack_f64(payload))
-            elif tag == TypeTag.BOOL:
-                out.append(bool(enc.unpack_u64(payload)))
-            elif tag == TypeTag.BYTES:
-                out.append(payload)
-            else:
-                out.append(None)
+            off += HEADER_SIZE
+            out.append(decode(raw[off:off + size]))
         return out
-
-    def _try_load_packed(self, ptrs: List[int]) -> Optional[List]:
-        """Bulk-decode a stride-24 homogeneous primitive run."""
-        run = self.packed_run(ptrs)
-        if run is None:
-            return None
-        tag, values = run
-        kind = np.int64 if tag == TypeTag.INT else np.float64
-        return values.view(kind).tolist()
 
     def packed_run(self, ptrs: List[int]
                    ) -> Optional[Tuple[TypeTag, np.ndarray]]:
         """``(tag, u64 payload column)`` when *ptrs* is a stride-24
         homogeneous INT/FLOAT run, read in bulk; else ``None``."""
-        if not is_prim_run(ptrs):
-            return None
-        tag, _flags, size = self.header_of(ptrs[0])
-        if size != 8 or tag not in _PACKED_TAGS:
-            return None
-        raw = self.space.read(ptrs[0], len(ptrs) * _PRIM_SLOT)
-        words = np.frombuffer(raw, dtype=np.uint64).reshape(-1, 3)
-        # word 0 = tag|flags, word 1 = payload size; verify homogeneity
-        if not bool(np.all(words[:, 0] == words[0, 0])):
-            return None
-        return tag, words[:, 2]
-
-    def _load_dict(self, addr: int, size: int, memo: Dict[int, Any]) -> dict:
-        ptrs = self._child_pointers(addr, size)
-        dense = self._try_load_dense(ptrs)
-        if dense is not None:
-            value = dict(zip(dense[0::2], dense[1::2]))
-            memo[addr] = value
-            return value
-        out: Dict[Any, Any] = {}
-        memo[addr] = out
-        for i in range(0, len(ptrs), 2):
-            key = self._load(ptrs[i], memo)
-            out[key] = self._load(ptrs[i + 1], memo)
-        return out
-
-    def _load_dataframe(self, addr: int, size: int,
-                        memo: Dict[int, Any]) -> DataFrameValue:
-        payload = self.space.read(addr + HEADER_SIZE, size)
-        ncols = enc.unpack_u64(payload, 8)
-        ptrs = enc.unpack_pointers(payload, 2 * ncols, offset=16)
-        columns: Dict[str, List] = {}
-        for i in range(0, len(ptrs), 2):
-            name = self._load(ptrs[i], memo)
-            columns[name] = self._load(ptrs[i + 1], memo)
-        value = DataFrameValue(columns)
-        memo[addr] = value
-        return value
-
-    def _load_model(self, addr: int, size: int,
-                    memo: Dict[int, Any]) -> MLModelValue:
-        payload = self.space.read(addr + HEADER_SIZE, size)
-        n_features = enc.unpack_u64(payload, 0)
-        n_classes = enc.unpack_u64(payload, 8)
-        n_trees = enc.unpack_u64(payload, 16)
-        ptrs = enc.unpack_pointers(payload, n_trees, offset=24)
-        trees = [self._load(p, memo) for p in ptrs]
-        value = MLModelValue(trees, n_features, n_classes)
-        memo[addr] = value
-        return value
-
-    def _load_tree(self, addr: int, size: int,
-                   memo: Dict[int, Any]) -> TreeValue:
-        ptrs = self._child_pointers(addr, size)
-        arrays = [self._load(p, memo).array for p in ptrs]
-        value = TreeValue(*arrays)
-        memo[addr] = value
-        return value
+        with PageCursor(self.space) as cursor:
+            run = read_packed_run(cursor, ptrs)
+        return None if run is None else (run[0].tag, run[1])
 
     # ------------------------------------------------------------- children
 
@@ -496,13 +361,19 @@ class ManagedHeap:
         iterator (numpy without the wrapper) — callers fall back to
         non-prefetch mode (Section 4.4).
         """
-        tag, _flags, size = self.header_of(addr)
-        if tag == TypeTag.NDARRAY and not self.numpy_iterator:
+        with PageCursor(self.space) as cursor:
+            return self.children_at(cursor, addr)
+
+    def children_at(self, cursor: PageCursor, addr: int) -> List[int]:
+        """:meth:`children`, read through a walker's own *cursor*."""
+        row, size = layout_at(cursor.read(addr, HEADER_SIZE))
+        if row.tag is TypeTag.NDARRAY and not self.numpy_iterator:
             raise SerializationError(
                 "ndarray provides no __iter__ for traversal "
                 "(enable numpy_iterator)")
-        skip = enc.POINTER_OFFSET.get(tag)
-        return [] if skip is None else self._child_pointers(addr, size, skip)
+        if row.pointers is None:
+            return []
+        return pointer_slots(row, cursor.read(addr + HEADER_SIZE, size))
 
     # ------------------------------------------------------------------- GC
 
@@ -512,6 +383,21 @@ class ManagedHeap:
     def remove_root(self, addr: int) -> None:
         self.roots.discard(addr)
 
+    def _reachable(self, roots: Iterable[int], local: bool) -> Set[int]:
+        """Reachable from *roots* (*local*: without leaving this heap)."""
+        seen: Set[int] = set()
+        stack = list(roots)
+        with PageCursor(self.space) as cursor:
+            while stack:
+                addr = stack.pop()
+                if addr in seen:
+                    continue
+                seen.add(addr)
+                for child in self.children_at(cursor, addr):
+                    if child not in seen and (not local or self.owns(child)):
+                        stack.append(child)
+        return seen
+
     def gc(self) -> int:
         """Mark-sweep over the local heap; returns objects' bytes freed.
 
@@ -519,16 +405,8 @@ class ManagedHeap:
         are *skipped* during marking, per the hybrid GC design (Section 4.3):
         remote lifetimes are managed coarsely by the remote-root proxy.
         """
-        marked: Set[int] = set()
-        stack = [a for a in self.roots if self.owns(a)]
-        while stack:
-            addr = stack.pop()
-            if addr in marked:
-                continue
-            marked.add(addr)
-            for child in self.children(addr):
-                if child not in marked and self.owns(child):
-                    stack.append(child)
+        marked = self._reachable(
+            [a for a in self.roots if self.owns(a)], local=True)
         if not marked:  # every Container.reset_heap(): no per-object sweep
             return self.allocator.free_all()
         freed = 0
@@ -549,12 +427,4 @@ class ManagedHeap:
 
     def count_reachable(self, root: int) -> int:
         """Number of objects reachable from *root* (sub-object counting)."""
-        seen: Set[int] = set()
-        stack = [root]
-        while stack:
-            addr = stack.pop()
-            if addr in seen:
-                continue
-            seen.add(addr)
-            stack.extend(c for c in self.children(addr) if c not in seen)
-        return len(seen)
+        return len(self._reachable([root], local=False))

@@ -27,17 +27,20 @@ import struct
 from typing import Dict, List, Tuple
 
 from repro.errors import SerializationError
+from repro.mem.address_space import PageCursor
 from repro.obs.telemetry import current as _telemetry
-from repro.runtime import objects as enc
-from repro.runtime.heap import (_PACKED_TAGS, _PRIM_SLOT, ManagedHeap,
-                                encode_prim_run)
-from repro.runtime.objects import HEADER_SIZE, PTR_SIZE, TypeTag
+from repro.runtime.heap import (_PRIM_SLOT, ManagedHeap, encode_prim_run,
+                                read_packed_run)
+from repro.runtime.objects import (HEADER_SIZE, HEADER_STRUCT, LAYOUT,
+                                   PTR_SIZE, TypeLayout, layout_at,
+                                   pack_pointers, pointer_slots,
+                                   unpack_pointers)
 from repro.units import transfer_time_ns
 
 _REC_OBJ = 0
 _REC_PACKED = 1
 _REC_HEADER = struct.Struct("<BIQ")  # kind, tag, count-or-len
-_OBJ_HEADER = enc.HEADER_STRUCT.pack
+_OBJ_HEADER = HEADER_STRUCT.pack
 
 
 class SerializedState:
@@ -66,31 +69,28 @@ class Serializer:
 
     def serialize(self, heap: ManagedHeap, root: int) -> SerializedState:
         """Flatten the graph rooted at *root* into a byte stream."""
-        # Queue entries are ("obj", addr) or ("packed", tag, raw, count);
-        # entries are appended in index-assignment order, so draining FIFO
-        # emits records in exactly index order (what deserialize assumes).
+        # Queue entries are an object's address or a packed record's
+        # finished chunks; they are appended in index-assignment order, so
+        # draining FIFO emits records in exactly index order (what
+        # deserialize assumes).
         index: Dict[int, int] = {root: 0}
-        queue: List[Tuple] = [("obj", root)]
+        queue: list = [root]
         chunks: List[bytes] = []
         qpos = 0
-        while qpos < len(queue):
-            entry = queue[qpos]
-            qpos += 1
-            if entry[0] == "packed":
-                _kind, elem_tag, raw, count = entry
-                chunks.append(_REC_HEADER.pack(_REC_PACKED, int(elem_tag),
-                                               count))
-                chunks.append(raw)
-                continue
-            addr = entry[1]
-            tag, _flags, size = heap.header_of(addr)
-            payload = heap.space.read(addr + HEADER_SIZE, size)
-            skip = enc.POINTER_OFFSET.get(tag)
-            if skip is not None:
-                payload = payload[:skip] + self._child_indices(
-                    heap, tag, payload, skip, index, queue)
-            chunks.append(_REC_HEADER.pack(_REC_OBJ, int(tag), size))
-            chunks.append(payload)
+        with PageCursor(heap.space) as cursor:
+            while qpos < len(queue):
+                addr = queue[qpos]
+                qpos += 1
+                if type(addr) is tuple:
+                    chunks.extend(addr)
+                    continue
+                row, size = layout_at(cursor.read(addr, HEADER_SIZE))
+                payload = cursor.read(addr + HEADER_SIZE, size)
+                if row.pointers is not None:
+                    payload = payload[:row.pointers] + self._child_indices(
+                        cursor, row, payload, index, queue)
+                chunks.append(_REC_HEADER.pack(_REC_OBJ, row.tag, size))
+                chunks.append(payload)
 
         data = struct.pack("<Q", len(index)) + b"".join(chunks)
         self._charge(heap, "serialize", heap.cost.serialize_per_object_ns,
@@ -111,32 +111,30 @@ class Serializer:
                    per_object + copy, objects=objects, bytes=nbytes)
 
     @staticmethod
-    def _child_indices(heap: ManagedHeap, tag: TypeTag, payload: bytes,
-                       skip: int, index: Dict[int, int],
-                       queue: List[Tuple]) -> bytes:
+    def _child_indices(cursor: PageCursor, row: TypeLayout, payload: bytes,
+                       index: Dict[int, int], queue: list) -> bytes:
         """The pointer slots of a container payload as stream indices.
 
-        A LIST/TUPLE's contiguous primitive children become one queued
+        A sequence's contiguous primitive children become one queued
         packed record (unless any element was already reached through
         another reference, where packing would break indexing)."""
-        ptrs = enc.unpack_pointers(
-            payload, (len(payload) - skip) // PTR_SIZE, offset=skip)
-        run = (heap.packed_run(ptrs)
-               if tag in (TypeTag.LIST, TypeTag.TUPLE) else None)
+        ptrs = pointer_slots(row, payload)
+        run = read_packed_run(cursor, ptrs) if row.sequence else None
         if run is not None and not any(p in index for p in ptrs):
-            elem_tag, values = run
+            elem, values = run
             indices = range(len(index), len(index) + len(ptrs))
             index.update(zip(ptrs, indices))
-            queue.append(("packed", elem_tag, values.tobytes(), len(ptrs)))
-            return enc.pack_pointers(indices)
+            queue.append((_REC_HEADER.pack(_REC_PACKED, elem.tag, len(ptrs)),
+                          values.tobytes()))
+            return pack_pointers(indices)
         indices = []
         for ptr in ptrs:
             idx = index.get(ptr)
             if idx is None:
                 idx = index[ptr] = len(index)
-                queue.append(("obj", ptr))
+                queue.append(ptr)
             indices.append(idx)
-        return enc.pack_pointers(indices)
+        return pack_pointers(indices)
 
     # ---------------------------------------------------------- deserialize
 
@@ -169,10 +167,10 @@ class Serializer:
             elif skip is None:
                 blob = _OBJ_HEADER(tag, 0, length) + data[off:off + length]
             else:
-                indices = enc.unpack_pointers(
+                indices = unpack_pointers(
                     data, (length - skip) // PTR_SIZE, off + skip)
                 blob = (_OBJ_HEADER(tag, 0, length) + data[off:off + skip]
-                        + enc.pack_pointers([addrs[i] for i in indices]))
+                        + pack_pointers([addrs[i] for i in indices]))
             if base == end:
                 writes[-1][1].append(blob)
             else:
@@ -209,7 +207,7 @@ class Serializer:
         records: List[Tuple] = []
         sizes: List[int] = []
         unpack_header, header_size = _REC_HEADER.unpack_from, _REC_HEADER.size
-        known_tags, ptr_offset = len(enc.TAGS), enc.POINTER_OFFSET.get
+        known_tags = len(LAYOUT)
         pos = 8
         seen = 0
         while pos < end:
@@ -221,7 +219,8 @@ class Serializer:
                 nbytes = length
                 sizes.append(HEADER_SIZE + length)
                 seen += 1
-            elif kind == _REC_PACKED and tag in _PACKED_TAGS and length:
+            elif kind == _REC_PACKED and tag < known_tags and length \
+                    and LAYOUT[tag].run_code is not None:
                 nbytes = 8 * length
                 sizes.append(length * _PRIM_SLOT)
                 seen += length
@@ -230,7 +229,7 @@ class Serializer:
                     f"corrupt record: kind {kind}, tag {tag}, length {length}")
             if pos + nbytes > end:
                 raise SerializationError("truncated record payload")
-            skip = ptr_offset(tag) if kind == _REC_OBJ else None
+            skip = LAYOUT[tag].pointers if kind == _REC_OBJ else None
             if skip is not None:
                 nptrs, rest = divmod(length - skip, PTR_SIZE)
                 if nptrs < 0 or rest:
@@ -239,7 +238,7 @@ class Serializer:
                 # checked here, unpacked again when written: holding every
                 # container's indices across the allocation costs ~40 B
                 # per child of peak memory
-                last = max(enc.unpack_pointers(data, nptrs, pos + skip),
+                last = max(unpack_pointers(data, nptrs, pos + skip),
                            default=0)
                 if last >= total:
                     raise SerializationError(

@@ -15,13 +15,13 @@ dataframe column blocks are covered at per-block cost (the paper's
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import SerializationError
-from repro.mem.layout import page_round_down
-from repro.runtime.heap import (_PACK_MIN, _PRIM_SLOT, ManagedHeap,
-                                is_prim_run)
-from repro.runtime.objects import HEADER_SIZE, TypeTag
+from repro.mem.address_space import PageCursor
+from repro.runtime.heap import (_PRIM_SLOT, ManagedHeap, is_prim_run,
+                                read_dense_span)
+from repro.runtime.objects import HEADER_SIZE, TypeTag, layout_at
 from repro.units import PAGE_SIZE
 
 
@@ -60,35 +60,6 @@ class ObjectTraverser:
         # the producer fall back to non-prefetch mode.
         self.max_objects = max_objects
 
-    # -- helpers -------------------------------------------------------------
-
-    def _add_span(self, pages: Set[int], start: int, nbytes: int) -> None:
-        first = page_round_down(start)
-        last = page_round_down(start + nbytes - 1)
-        pages.update(range(first, last + 1, PAGE_SIZE))
-
-    def _packed_block(self, ptrs: List[int]):
-        """(base, nbytes) when *ptrs* form a contiguous stride-24 run."""
-        if not is_prim_run(ptrs):
-            return None
-        return int(ptrs[0]), len(ptrs) * _PRIM_SLOT
-
-    def _dense_block(self, ptrs: List[int]):
-        """(base, nbytes) when *ptrs* sit in one dense allocation region
-        (e.g. a string column's cells, allocated back to back).  The
-        column's block iterator then covers them without visiting each
-        element."""
-        n = len(ptrs)
-        if n < _PACK_MIN:
-            return None
-        lo, hi = min(ptrs), max(ptrs)
-        if hi - lo > 256 * n:
-            return None
-        _tag, _flags, size_hi = self.heap.header_of(hi)
-        return lo, hi + HEADER_SIZE + size_hi - lo
-
-    # -- traversal -------------------------------------------------------------
-
     def traverse(self, root: int) -> Optional[TraversalResult]:
         """Page list for the state rooted at *root*.
 
@@ -96,61 +67,63 @@ class ObjectTraverser:
         iterator) or not worthwhile (step count exceeds the threshold) —
         the caller then falls back to demand paging.
         """
-        heap = self.heap
-        cost = heap.cost
+        with PageCursor(self.heap.space) as cursor:
+            charge, result = self._walk(cursor, root)
+        self.heap.ledger.charge(charge, "traverse")
+        return result
+
+    def _walk(self, cursor: PageCursor, root: int
+              ) -> Tuple[int, Optional[TraversalResult]]:
+        """``(traversal cost, result)`` of the walk from *root*."""
+        heap, cost = self.heap, self.heap.cost
         pages: Set[int] = set()
         seen: Set[int] = set()
         objects: Dict[str, List[int]] = {}
-        steps = 0
-        charge = 0
+        steps = charge = 0
+
+        def add_span(start: int, nbytes: int, name: str, count: int) -> None:
+            pages.update(range(start & -PAGE_SIZE, start + nbytes, PAGE_SIZE))
+            slot = objects.setdefault(name, [0, 0])
+            slot[0] += count
+            slot[1] += nbytes
+
         stack = [(root, False)]
-        try:
-            while stack:
-                addr, is_column = stack.pop()
-                if addr in seen:
-                    continue
-                seen.add(addr)
-                steps += 1
-                if self.max_objects is not None \
-                        and steps > self.max_objects:
-                    heap.ledger.charge(charge, "traverse")
-                    return None
-                tag, _flags, size = heap.header_of(addr)
-                self._add_span(pages, addr, HEADER_SIZE + size)
-                slot = objects.setdefault(tag.name.lower(), [0, 0])
-                slot[0] += 1
-                slot[1] += HEADER_SIZE + size
-                if is_column and tag == TypeTag.LIST:
-                    # typed column: internal block iterator covers the
-                    # whole element run at per-block cost
-                    ptrs = heap.children(addr)
-                    block = self._packed_block(ptrs) \
-                        or self._dense_block(ptrs)
-                    if block is not None:
-                        base, nbytes = block
-                        self._add_span(pages, base, nbytes)
-                        run = objects.setdefault("packed", [0, 0])
-                        run[0] += len(ptrs)
-                        run[1] += nbytes
-                        charge += cost.traverse_per_block_ns
-                        continue
-                    stack.extend((p, False) for p in ptrs)
-                    charge += len(ptrs) * cost.traverse_per_object_ns
-                    continue
+        while stack:
+            addr, is_column = stack.pop()
+            if addr in seen:
+                continue
+            seen.add(addr)
+            steps += 1
+            if self.max_objects is not None and steps > self.max_objects:
+                return charge, None
+            row, size = layout_at(cursor.read(addr, HEADER_SIZE))
+            add_span(addr, HEADER_SIZE + size, row.name, 1)
+            column = is_column and row.tag is TypeTag.LIST
+            if not column:
                 charge += cost.traverse_per_object_ns
-                if tag == TypeTag.DATAFRAME:
-                    ptrs = heap.children(addr)
-                    # alternating (name, column-list) pointers
-                    for i, p in enumerate(ptrs):
-                        stack.append((p, i % 2 == 1))
-                else:
-                    stack.extend((p, False) for p in heap.children(addr))
-        except SerializationError:
-            # type without an iterator (e.g. numpy without the wrapper)
-            heap.ledger.charge(charge, "traverse")
-            return None
-        heap.ledger.charge(charge, "traverse")
-        return TraversalResult(sorted(pages), steps, objects)
+            try:
+                ptrs = heap.children_at(cursor, addr)
+            except SerializationError:
+                # type without an iterator (e.g. numpy without the wrapper)
+                return charge, None
+            if column:
+                # typed column: internal block iterator covers the whole
+                # element run at per-block cost — a packed run, or cells
+                # allocated back to back (e.g. a string column's)
+                block = ((ptrs[0], len(ptrs) * _PRIM_SLOT)
+                         if is_prim_run(ptrs)
+                         else read_dense_span(cursor, ptrs))
+                if block is not None:
+                    add_span(*block, "packed", len(ptrs))
+                    charge += cost.traverse_per_block_ns
+                    continue
+                charge += len(ptrs) * cost.traverse_per_object_ns
+            if row.tag is TypeTag.DATAFRAME:
+                # alternating (name, column list) pointers
+                stack.extend((ptr, i % 2 == 1) for i, ptr in enumerate(ptrs))
+            elif ptrs:
+                stack.extend((ptr, False) for ptr in ptrs)
+        return charge, TraversalResult(sorted(pages), steps, objects)
 
 
 def pages_of_state(heap: ManagedHeap, root: int,

@@ -10,8 +10,8 @@ from repro.mem import (PAGE_SIZE, AddressRange, AddressSpace, AnonymousVMA,
 from repro.obs.telemetry import Telemetry, capture
 from repro.runtime.heap import ManagedHeap
 
-from ..parent_reference import (allocator_state, space_state,
-                                write_per_page)
+from ..parent_reference import (RecordingLineage, allocator_state,
+                                space_state, write_per_page)
 
 BASE = 0x1000_0000
 SPACE = 64 * PAGE_SIZE
@@ -149,19 +149,6 @@ def test_unrooted_gc_equals_freeing_every_object(values):
 
 
 # --- address-space read/write ---------------------------------------------------------
-
-class RecordingLineage:
-    """Stands in for the lineage tracker: keeps the calls it is sent."""
-
-    def __init__(self):
-        self.calls = []
-
-    def touched(self, space, vaddr, length):
-        self.calls.append(("touched", space, vaddr, length))
-
-    def cow_broken(self, space, vpn):
-        self.calls.append(("cow_broken", space, vpn))
-
 
 def prepared_space(resident, cow_pages):
     """A space with *resident* pages written, some of them CoW-marked
