@@ -13,7 +13,8 @@ cited future-work direction), via a :class:`PteSource`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
+                    Optional)
 
 from repro.errors import (MemoryError_, QpBroken, RemoteAccessError,
                           SegmentationFault)
@@ -56,9 +57,6 @@ class PteSource:
         self.span_regions = span_regions
         self.regions_fetched = 0
         self.fetches = 0
-
-    def fetch_region(self, vpn: int) -> Dict[int, int]:
-        return self.fetch_span(vpn // REGION_PAGES, 1)
 
     def fetch_span(self, first_region: int, n_regions: int) -> Dict[int, int]:
         """One RPC covering *n_regions* adjacent regions."""
@@ -103,7 +101,7 @@ class RemoteVMA(VMA):
         self.zero_fill_faults = 0
         self.fallback_faults = 0
 
-    def _ensure_pte(self, vpn: int) -> Optional[int]:
+    def _ensure_pte(self, space: "AddressSpace", vpn: int) -> Optional[int]:
         """Producer pfn for *vpn*, fetching its PTE region if lazy."""
         pfn = self.snapshot.get(vpn)
         if pfn is not None or self.pte_source is None:
@@ -111,10 +109,10 @@ class RemoteVMA(VMA):
         region = vpn // REGION_PAGES
         if region in self._fetched_regions:
             return None  # fetched, genuinely absent at the producer
-        self._fetch_pte_span(region)
+        self._fetch_pte_span(space, region)
         return self.snapshot.get(vpn)
 
-    def _fetch_pte_span(self, region: int) -> None:
+    def _fetch_pte_span(self, space: "AddressSpace", region: int) -> None:
         """Fetch *region*'s PTEs, coalescing adjacent regions when the
         caller is walking sequentially (a fault burst or a prefetch
         sweep): the second miss in a row speculatively pulls up to
@@ -132,74 +130,63 @@ class RemoteVMA(VMA):
         self._fetched_regions.update(range(region, region + span))
         self.snapshot.update(self.pte_source.fetch_span(region, span))
         self._last_region = region + span - 1
+        hub = _telemetry()
+        if hub is not None and hub.lineage is not None:
+            hub.lineage.pte_fetched(self.name, space.name, 1, span)
 
     # --- fault path -----------------------------------------------------------
 
     def handle_fault(self, space: "AddressSpace", vpn: int,
                      write: bool) -> PTE:
-        space.ledger.charge(space.cost.page_fault_ns, "remote-fault")
+        # by class: the base run handler of a subclass would call back here
+        (pte,) = RemoteVMA.handle_fault_run(self, space, vpn, 1, write)
+        return pte
+
+    def handle_fault_run(self, space: "AddressSpace", vpn: int, count: int,
+                         write: bool) -> Iterator[PTE]:
+        """Demand-fault *count* adjacent pages: a usable QP is checked and
+        its whole-page READ priced once for the run, but every page is
+        still its own READ at the full single-READ latency."""
+        charge, fault_ns = space.ledger.charge, space.cost.page_fault_ns
+        physical, map_page = space.physical, space.page_table.map
         hub = _telemetry()
         lin = hub.lineage if hub is not None else None
-        pte0, regions0 = self._pte_marks(lin)
-        fallback0 = self.fallback_faults
-        remote_pfn = self._ensure_pte(vpn)
-        if remote_pfn is None:
-            # never materialized at the producer: demand-zero locally
-            self.zero_fill_faults += 1
-            frame = space.physical.allocate()
-            if lin is not None:
-                lin.page_pulled(self.name, space.name, vpn, "zero_fill", 0)
-        elif self.qp is None:
-            # same machine: share the producer's frame directly (CoW)
-            self.remote_faults += 1
-            frame = space.physical.get(remote_pfn)
-            if lin is not None:
-                lin.page_pulled(self.name, space.name, vpn, "shared", 0)
-        else:
-            self.remote_faults += 1
-            self.pages_fetched += 1
-            data = self._fetch_page(space, remote_pfn)
-            frame = space.physical.allocate()
-            frame.data[:] = data
-            if lin is not None:
-                lin.page_pulled(self.name, space.name, vpn, "demand",
-                                PAGE_SIZE,
-                                rpc=self._went_rpc(fallback0))
-        self._pte_delta(lin, space, pte0, regions0)
-        return space.page_table.map(vpn, frame.pfn, PTE_PRESENT | PTE_COW)
-
-    # --- lineage helpers (pure observers; no ledger charges) ------------------
-
-    def _pte_marks(self, lin) -> tuple:
-        if lin is None or self.pte_source is None:
-            return 0, 0
-        return self.pte_source.fetches, self.pte_source.regions_fetched
-
-    def _pte_delta(self, lin, space: "AddressSpace", pte0: int,
-                   regions0: int) -> None:
-        if lin is None or self.pte_source is None:
-            return
-        lin.pte_fetched(self.name, space.name,
-                        self.pte_source.fetches - pte0,
-                        self.pte_source.regions_fetched - regions0)
-
-    def _went_rpc(self, fallback0: int) -> bool:
-        return (self.fetch_mode != FETCH_RDMA
-                or self.fallback_faults > fallback0)
-
-    def _fetch_page(self, space: "AddressSpace", remote_pfn: int) -> bytes:
-        if self.fetch_mode == FETCH_RDMA:
-            try:
-                return self.qp.read(ReadRequest(remote_pfn), space.ledger,
-                                    category="rdma-read")
-            except QpBroken:
-                if not self.rpc_fallback:
-                    raise
-                # transport degradation: the QP died but the producer
-                # machine is still up — page through its CPU instead
-                self.fallback_faults += 1
-                return self._fetch_page_rpc(space, remote_pfn)
-        return self._fetch_page_rpc(space, remote_pfn)
+        read = None
+        for v in range(vpn, vpn + count):
+            charge(fault_ns, "remote-fault")
+            remote_pfn = self._ensure_pte(space, v)
+            if remote_pfn is None:
+                # never materialized at the producer: demand-zero locally
+                self.zero_fill_faults += 1
+                frame = physical.allocate()
+                if lin is not None:
+                    lin.page_pulled(self.name, space.name, v, "zero_fill", 0)
+            elif self.qp is None:
+                # same machine: share the producer's frame directly (CoW)
+                self.remote_faults += 1
+                frame = physical.get(remote_pfn)
+                if lin is not None:
+                    lin.page_pulled(self.name, space.name, v, "shared", 0)
+            else:
+                self.remote_faults += 1
+                self.pages_fetched += 1
+                if read is None and self.fetch_mode == FETCH_RDMA:
+                    try:
+                        read = self.qp.reader(space.ledger)
+                    except QpBroken:
+                        if not self.rpc_fallback:
+                            raise
+                        # transport degradation: the QP died, the producer
+                        # is still up — each page posts its READ, gets the
+                        # NAK and goes through the producer's CPU instead
+                        self.fallback_faults += 1
+                data = (read(remote_pfn) if read is not None
+                        else self._fetch_page_rpc(space, remote_pfn))
+                frame = physical.allocate_from(data)
+                if lin is not None:
+                    lin.page_pulled(self.name, space.name, v, "demand",
+                                    PAGE_SIZE, rpc=read is None)
+            yield map_page(v, frame.pfn, PTE_PRESENT | PTE_COW)
 
     def _fetch_page_rpc(self, space: "AddressSpace",
                         remote_pfn: int) -> bytes:
@@ -238,8 +225,6 @@ class RemoteVMA(VMA):
         """
         hub = _telemetry()
         lin = hub.lineage if hub is not None else None
-        pte0, regions0 = self._pte_marks(lin)
-        fallback0 = self.fallback_faults
         wanted: List[int] = []
         seen = set()
         for vaddr in vaddrs:
@@ -251,55 +236,42 @@ class RemoteVMA(VMA):
                 raise SegmentationFault(vaddr, "prefetch outside rmap range")
             if space.page_table.lookup(vpn) is not None:
                 continue
-            if self._ensure_pte(vpn) is not None:
+            if self._ensure_pte(space, vpn) is not None:
                 wanted.append(vpn)
-        self._pte_delta(lin, space, pte0, regions0)
         if not wanted:
             return 0
         if self.qp is None:
             # same machine: map the shared frames, no network
             for vpn in wanted:
                 frame = space.physical.get(self.snapshot[vpn])
-                space.page_table.map(vpn, frame.pfn,
-                                     PTE_PRESENT | PTE_COW)
+                space.page_table.map(vpn, frame.pfn, PTE_PRESENT | PTE_COW)
                 if lin is not None:
                     lin.page_pulled(self.name, space.name, vpn, "shared", 0)
             return len(wanted)
-        try:
-            if self.fetch_mode == FETCH_RDMA and doorbell:
-                requests = [ReadRequest(self.snapshot[vpn])
-                            for vpn in wanted]
-                pages = self.qp.read_batch(requests, space.ledger,
-                                           category="rdma-prefetch")
-            elif self.fetch_mode == FETCH_RDMA:
-                pages = [self.qp.read(ReadRequest(self.snapshot[vpn]),
-                                      space.ledger,
-                                      category="rdma-prefetch")
-                         for vpn in wanted]
-            else:
-                pages = [self._fetch_page(space, self.snapshot[vpn])
-                         for vpn in wanted]
-        except QpBroken:
-            if not self.rpc_fallback:
-                raise
-            self.fallback_faults += len(wanted)
+        pages = None  # stays so for the RPC baseline and a broken QP
+        if self.fetch_mode == FETCH_RDMA:
+            try:
+                if doorbell:
+                    pages = self.qp.read_batch(
+                        [ReadRequest(self.snapshot[vpn]) for vpn in wanted],
+                        space.ledger, category="rdma-prefetch")
+                else:
+                    read = self.qp.reader(space.ledger, "rdma-prefetch")
+                    pages = [read(self.snapshot[vpn]) for vpn in wanted]
+            except QpBroken:
+                if not self.rpc_fallback:
+                    raise
+                self.fallback_faults += len(wanted)
+        rpc = pages is None
+        if rpc:
             pages = [self._fetch_page_rpc(space, self.snapshot[vpn])
                      for vpn in wanted]
         for vpn, data in zip(wanted, pages):
-            frame = space.physical.allocate()
-            frame.data[:] = data
-            space.page_table.map(vpn, frame.pfn, PTE_PRESENT | PTE_COW)
+            space.page_table.map(vpn, space.physical.allocate_from(data).pfn,
+                                 PTE_PRESENT | PTE_COW)
         self.pages_fetched += len(wanted)
         if lin is not None:
-            rpc = self._went_rpc(fallback0)
             for vpn in wanted:
                 lin.page_pulled(self.name, space.name, vpn, "prefetch",
                                 PAGE_SIZE, rpc=rpc)
         return len(wanted)
-
-    def prefetch_all(self, space: "AddressSpace") -> int:
-        """Fetch every snapshot page (used by tests/ablations, not the
-        production path — the paper's point is to avoid this)."""
-        return self.prefetch(space,
-                             (vpn << 12 for vpn in self.snapshot
-                              if (vpn << 12) in self.range))

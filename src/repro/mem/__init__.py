@@ -14,7 +14,6 @@ from repro.mem.layout import (
     AddressRange,
     SegmentLayout,
     page_number,
-    page_offset,
     page_round_down,
     page_round_up,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "AddressRange",
     "SegmentLayout",
     "page_number",
-    "page_offset",
     "page_round_down",
     "page_round_up",
     "Frame",

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import AddressConflict, SegmentationFault
 from repro.mem.layout import AddressRange, SegmentLayout, page_number
-from repro.mem.pagetable import (PTE, PTE_PRESENT, PTE_WRITE,
+from repro.mem.pagetable import (PTE, PTE_COW, PTE_PRESENT, PTE_WRITE,
                                  PageTable)
 from repro.mem.physical import PhysicalMemory
 from repro.mem.vma import VMA
@@ -14,6 +14,10 @@ from repro.obs.telemetry import current as _telemetry
 from repro.sim.ledger import Ledger
 from repro.units import (PAGE_SHIFT, PAGE_SIZE, CostModel,
                          DEFAULT_COST_MODEL)
+
+
+#: a write goes straight through only when WRITE is set and COW is not
+_WRITE_BITS = PTE_WRITE | PTE_COW
 
 
 class AddressSpace:
@@ -64,14 +68,10 @@ class AddressSpace:
         """
         self._vmas.remove(vma)
         table = self.page_table
-        first = page_number(vma.range.start)
-        last = page_number(vma.range.end - 1)
-        present = list(table.entries_in(first, last))
-        for vpn, pte in present:
-            table.unmap(vpn)
-            if free_frames:
-                self.physical.put(pte.pfn)
-        vma.on_unmap(self)
+        pfns = [table.unmap(vpn).pfn for vpn, _pte in list(table.entries_in(
+            page_number(vma.range.start), page_number(vma.range.end - 1)))]
+        if free_frames:
+            self.physical.put_run(pfns)
         hub = _telemetry()
         if hub is not None and hub.lineage is not None:
             hub.lineage.vma_unmapped(self.name, vma.name)
@@ -93,26 +93,60 @@ class AddressSpace:
 
     def translate(self, vaddr: int, write: bool = False) -> PTE:
         """Resolve *vaddr* to a PTE, faulting in the page if needed."""
-        vpn = page_number(vaddr)
-        pte = self.page_table.lookup(vpn)
-        self.ledger.charge(self.cost.page_table_walk_ns, "mmu")
-        if pte is None:
-            vma = self.find_vma(vaddr)
-            if vma is None:
-                raise SegmentationFault(vaddr)
-            self.fault_count += 1
-            pte = vma.handle_fault(self, vpn, write)
-            hub = _telemetry()
-            if hub is not None:
-                hub.count(self.name, "mem", "faults")
-                hub.gauge_max(self.name, "mem", "resident.pages.hw",
-                              len(self.page_table))
-        if write:
-            if pte.cow:
-                pte = self._break_cow(vpn, pte)
-            elif not pte.writable:
-                raise SegmentationFault(vaddr, "write to read-only page")
+        pte = self.page_table.lookup(vaddr >> PAGE_SHIFT)
+        if pte is None or (write and pte.flags & _WRITE_BITS != PTE_WRITE):
+            (pte,) = self.translate_run(vaddr, 1, write)
+        else:
+            self.ledger.charge(self.cost.page_table_walk_ns, "mmu")
         return pte
+
+    def translate_run(self, vaddr: int, count: int,
+                      write: bool = False) -> Iterator[PTE]:
+        """The PTE of each of *count* adjacent pages from *vaddr*'s on:
+        the effects of *count* calls of :meth:`translate`, in order, each
+        page resolved only as its PTE is taken.  A stretch of missing
+        pages finds its VMA once and faults through ``handle_fault_run``;
+        walks of present pages are charged in one sum before each fault
+        (a handler may read the ledger) and when the run ends."""
+        lookup = self.page_table.lookup
+        charge, walk_ns = self.ledger.charge, self.cost.page_table_walk_ns
+        vpn = vaddr >> PAGE_SHIFT
+        end = vpn + count
+        walked = left = 0  # walks not yet charged; pages left in a stretch
+        try:
+            while vpn < end:
+                pte = lookup(vpn)
+                walked += 1
+                if pte is None:
+                    charge(walked * walk_ns, "mmu")
+                    walked = 0
+                    if not left:
+                        vma = self.find_vma(vaddr)
+                        if vma is None:
+                            raise SegmentationFault(vaddr)
+                        stop = min(end, page_number(vma.range.end - 1) + 1)
+                        left = 1
+                        while vpn + left < stop and lookup(vpn + left) is None:
+                            left += 1
+                        hub = _telemetry()
+                        run = vma.handle_fault_run(self, vpn, left, write)
+                    left -= 1
+                    self.fault_count += 1
+                    pte = next(run)
+                    if hub is not None:
+                        hub.count(self.name, "mem", "faults")
+                        hub.gauge_max(self.name, "mem", "resident.pages.hw",
+                                      len(self.page_table))
+                if write and pte.flags & _WRITE_BITS != PTE_WRITE:
+                    if not pte.cow:
+                        raise SegmentationFault(vaddr,
+                                                "write to read-only page")
+                    pte = self._break_cow(vpn, pte)
+                yield pte
+                vpn += 1
+                vaddr = vpn << PAGE_SHIFT
+        finally:
+            charge(walked * walk_ns, "mmu")
 
     def _break_cow(self, vpn: int, pte: PTE) -> PTE:
         """Copy-on-write break: private copy of a shared frame."""
@@ -151,6 +185,7 @@ class AddressSpace:
         """
         hub = _telemetry()
         lineage = hub.lineage if hub is not None else None
+        frame = self.physical.frame
         skipped = 0
         last_vpn = -1
         frame_data = None
@@ -165,25 +200,22 @@ class AddressSpace:
                     skipped += 1
                     frame_data[off:off + remaining] = data
                     continue
+                if remaining <= 0:
+                    continue
+                # one run (a cached first page is simply present, writable)
+                self.ledger.charge(
+                    skipped * self.cost.page_table_walk_ns, "mmu")
+                skipped = 0
+                pages = ((off + remaining - 1) >> PAGE_SHIFT) + 1
                 pos = 0
-                while remaining > 0:
-                    vpn = vaddr >> PAGE_SHIFT
-                    if vpn == last_vpn:
-                        skipped += 1
-                    else:
-                        self.ledger.charge(
-                            skipped * self.cost.page_table_walk_ns, "mmu")
-                        skipped = 0
-                        pte = self.translate(vaddr, write=True)
-                        frame_data = self.physical.frame(pte.pfn).data
-                        last_vpn = vpn
-                    off = vaddr & (PAGE_SIZE - 1)
-                    room = PAGE_SIZE - off
-                    chunk = remaining if remaining < room else room
+                for pte in (self.translate_run(vaddr, pages, True)
+                            if pages > 1 else (self.translate(vaddr, True),)):
+                    frame_data = frame(pte.pfn).data
+                    chunk = min(remaining - pos, PAGE_SIZE - off)
                     frame_data[off:off + chunk] = data[pos:pos + chunk]
-                    vaddr += chunk
                     pos += chunk
-                    remaining -= chunk
+                    off = 0
+                last_vpn = (vaddr + remaining - 1) >> PAGE_SHIFT
         finally:
             self.ledger.charge(skipped * self.cost.page_table_walk_ns, "mmu")
 
@@ -222,9 +254,6 @@ class AddressSpace:
     def resident_pages(self) -> int:
         return len(self.page_table)
 
-    def resident_bytes(self) -> int:
-        return self.resident_pages() * PAGE_SIZE
-
 
 class PageCursor:
     """The read-side dual of :meth:`AddressSpace.write_batch`'s last-page
@@ -252,24 +281,30 @@ class PageCursor:
         """Read *length* bytes, crossing page boundaries as needed."""
         if self._lineage is not None:
             self._lineage.touched(self._space.name, vaddr, length)
+        space = self._space
         off = vaddr & (PAGE_SIZE - 1)
-        if 0 < length <= PAGE_SIZE - off and vaddr >> PAGE_SHIFT == self._vpn:
-            self._skipped += 1
-            return bytes(self._data[off:off + length])
-        out = bytearray()
-        while length > 0:
+        if 0 < length <= PAGE_SIZE - off:
             if vaddr >> PAGE_SHIFT == self._vpn:
                 self._skipped += 1
             else:
                 self.flush()
-                pte = self._space.translate(vaddr)
-                self._data = self._space.physical.frame(pte.pfn).data
+                pte = space.translate(vaddr)
+                self._data = space.physical.frame(pte.pfn).data
                 self._vpn = vaddr >> PAGE_SHIFT
-            off = vaddr & (PAGE_SIZE - 1)
-            chunk = min(length, PAGE_SIZE - off)
-            out += self._data[off:off + chunk]
-            vaddr += chunk
-            length -= chunk
+            return bytes(self._data[off:off + length])
+        if length <= 0:
+            return b""
+        # several pages, one run (a cached first page is simply present)
+        self.flush()
+        frame = space.physical.frame
+        out = bytearray()
+        for pte in space.translate_run(
+                vaddr, ((off + length - 1) >> PAGE_SHIFT) + 1):
+            data = frame(pte.pfn).data
+            out += data[off:off + length - len(out)]
+            off = 0
+        self._data = data
+        self._vpn = (vaddr + length - 1) >> PAGE_SHIFT
         return bytes(out)
 
     def flush(self) -> None:

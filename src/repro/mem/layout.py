@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import MemoryError_
 from repro.units import PAGE_SHIFT, PAGE_SIZE
@@ -15,11 +14,6 @@ USER_SPACE_TOP = 1 << 48
 def page_number(vaddr: int) -> int:
     """Virtual page number containing *vaddr*."""
     return vaddr >> PAGE_SHIFT
-
-
-def page_offset(vaddr: int) -> int:
-    """Offset of *vaddr* within its page."""
-    return vaddr & (PAGE_SIZE - 1)
 
 
 def page_round_down(vaddr: int) -> int:
@@ -59,12 +53,6 @@ class AddressRange:
 
     def overlaps(self, other: "AddressRange") -> bool:
         return self.start < other.end and other.start < self.end
-
-    def pages(self) -> Iterator[int]:
-        """Virtual page numbers covering the range."""
-        first = page_number(self.start)
-        last = page_number(self.end - 1)
-        return iter(range(first, last + 1))
 
     def split(self, parts: int) -> list:
         """Split into *parts* page-aligned sub-ranges of equal size."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import MemoryError_
 
@@ -52,12 +52,12 @@ class PageTable:
 
     def __init__(self):
         self._entries: Dict[int, PTE] = {}
+        #: ``lookup(vpn) -> Optional[PTE]``: the dict's own ``get`` — the
+        #: most-called function of a page-bound run gets no frame of its own
+        self.lookup = self._entries.get
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def lookup(self, vpn: int) -> Optional[PTE]:
-        return self._entries.get(vpn)
 
     def map(self, vpn: int, pfn: int,
             flags: int = PTE_PRESENT | PTE_WRITE) -> PTE:
@@ -83,16 +83,15 @@ class PageTable:
 
     def entries_in(self, first_vpn: int, last_vpn: int
                    ) -> Iterator[Tuple[int, PTE]]:
-        """Present entries with ``first_vpn <= vpn <= last_vpn``."""
-        if len(self._entries) <= (last_vpn - first_vpn + 1):
-            for vpn in sorted(self._entries):
-                if first_vpn <= vpn <= last_vpn:
-                    yield vpn, self._entries[vpn]
+        """Present entries with ``first_vpn <= vpn <= last_vpn``, in
+        ascending vpn order."""
+        entries = self._entries
+        if len(entries) <= last_vpn - first_vpn + 1:
+            vpns = sorted(v for v in entries if first_vpn <= v <= last_vpn)
         else:
-            for vpn in range(first_vpn, last_vpn + 1):
-                pte = self._entries.get(vpn)
-                if pte is not None:
-                    yield vpn, pte
+            vpns = [v for v in range(first_vpn, last_vpn + 1) if v in entries]
+        for vpn in vpns:
+            yield vpn, entries[vpn]
 
     def snapshot(self, first_vpn: int, last_vpn: int) -> Dict[int, int]:
         """vpn -> pfn copy for a range (shipped during the rmap auth RPC)."""

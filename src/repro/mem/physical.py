@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import MemoryError_, OutOfMemory
 from repro.obs.telemetry import current as _telemetry
@@ -18,9 +18,9 @@ class Frame:
 
     __slots__ = ("pfn", "data", "refcount")
 
-    def __init__(self, pfn: int):
+    def __init__(self, pfn: int, data: Optional[bytes] = None):
         self.pfn = pfn
-        self.data = bytearray(PAGE_SIZE)
+        self.data = bytearray(PAGE_SIZE if data is None else data)
         self.refcount = 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -75,7 +75,13 @@ class PhysicalMemory:
 
     def allocate(self) -> Frame:
         """Allocate a zeroed frame with refcount 1."""
-        if self.used_frames >= self.capacity_frames:
+        return self.allocate_from(None)
+
+    def allocate_from(self, data: Optional[bytes]) -> Frame:
+        """Allocate a frame (refcount 1) holding a copy of *data* — a
+        fetched page, a CoW break's source; ``None`` gives zeroes."""
+        frames = self._frames
+        if len(frames) >= self.capacity_frames:
             raise OutOfMemory(
                 f"physical memory exhausted ({self.capacity_frames} frames)")
         if self._free_pfns:
@@ -83,20 +89,17 @@ class PhysicalMemory:
         else:
             pfn = self._next_pfn
             self._next_pfn += 1
-        frame = Frame(pfn)
-        self._frames[pfn] = frame
-        if self.used_frames > self.peak_frames:
-            self.peak_frames = self.used_frames
-            hub = _telemetry()
-            if hub is not None:
-                hub.gauge_max(self.owner, "mem", "frames.resident.hw",
-                              self.peak_frames)
+        frame = frames[pfn] = Frame(pfn, data)
+        used = len(frames)
         hub = _telemetry()
+        if used > self.peak_frames:
+            self.peak_frames = used
+            if hub is not None:
+                hub.gauge_max(self.owner, "mem", "frames.resident.hw", used)
         if hub is not None and hub.timelines is not None:
             # saturation-timeline feed only (triage residency series);
             # gated so the allocator hot path stays gauge-free otherwise
-            hub.gauge(self.owner, "mem", "frames.resident",
-                      self.used_frames)
+            hub.gauge(self.owner, "mem", "frames.resident", used)
             if (self.owner, "mem", "frames.capacity") not in hub.gauges:
                 hub.gauge(self.owner, "mem", "frames.capacity",
                           self.capacity_frames)
@@ -120,20 +123,24 @@ class PhysicalMemory:
 
     def put(self, pfn: int) -> None:
         """Drop one reference; frees the frame at zero."""
-        frame = self.frame(pfn)
-        if frame.refcount <= 0:
-            raise MemoryError_(f"refcount underflow on pfn {pfn}")
-        frame.refcount -= 1
-        if frame.refcount == 0:
-            del self._frames[pfn]
-            self._free_pfns.append(pfn)
+        self.put_run((pfn,))
+
+    def put_run(self, pfns: Iterable[int]) -> None:
+        """Drop one reference on each of *pfns*, in order: freed pfns
+        join the free list in that order, which decides their reuse."""
+        frames, free = self._frames, self._free_pfns
+        for pfn in pfns:
+            frame = self.frame(pfn)
+            if frame.refcount <= 0:
+                raise MemoryError_(f"refcount underflow on pfn {pfn}")
+            frame.refcount -= 1
+            if frame.refcount == 0:
+                del frames[pfn]
+                free.append(pfn)
 
     def duplicate(self, pfn: int) -> Frame:
         """CoW break: copy *pfn* into a fresh frame (refcount 1)."""
-        src = self.frame(pfn)
-        dst = self.allocate()
-        dst.data[:] = src.data
-        return dst
+        return self.allocate_from(self.frame(pfn).data)
 
     # --- raw access (physical addressing, used by the RDMA NIC) -------------
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import SegmentationFault
 from repro.mem.layout import AddressRange
 from repro.mem.pagetable import PTE, PTE_PRESENT, PTE_WRITE
+from repro.units import PAGE_SHIFT, PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mem.address_space import AddressSpace
@@ -17,8 +18,16 @@ class VMA:
 
     Subclasses override :meth:`handle_fault` — the paper's "special (logical)
     device" hooking the fault handler is exactly such a subclass
-    (:class:`repro.kernel.remote_pager.RemoteVMA`).
+    (:class:`repro.kernel.remote_pager.RemoteVMA`) — and may override
+    :meth:`handle_fault_run` to serve adjacent pages a run at a time.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a class overriding only the per-page handler must not inherit a
+        # run handler that would fault pages without calling it
+        if "handle_fault" in vars(cls) and "handle_fault_run" not in vars(cls):
+            cls.handle_fault_run = VMA.handle_fault_run
 
     def __init__(self, rng: AddressRange, name: str = "vma",
                  writable: bool = True):
@@ -30,8 +39,14 @@ class VMA:
                      write: bool) -> PTE:
         raise NotImplementedError
 
-    def on_unmap(self, space: "AddressSpace") -> None:
-        """Hook invoked when the VMA is removed from its address space."""
+    def handle_fault_run(self, space: "AddressSpace", vpn: int, count: int,
+                         write: bool) -> Iterator[PTE]:
+        """The PTEs of *count* adjacent missing pages from *vpn* on, each
+        faulted only as its PTE is taken (the address space charges its
+        walk first, and breaks CoW on a write before the next): the
+        effects of *count* calls of :meth:`handle_fault`, in order."""
+        return (self.handle_fault(space, v, write)
+                for v in range(vpn, vpn + count))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<{type(self).__name__} {self.name!r} "
@@ -44,7 +59,8 @@ class AnonymousVMA(VMA):
     def handle_fault(self, space: "AddressSpace", vpn: int,
                      write: bool) -> PTE:
         if write and not self.writable:
-            raise SegmentationFault(vpn << 12, "write to read-only vma")
+            raise SegmentationFault(vpn << PAGE_SHIFT,
+                                    "write to read-only vma")
         frame = space.physical.allocate()
         flags = PTE_PRESENT | (PTE_WRITE if self.writable else 0)
         space.ledger.charge(space.cost.page_fault_ns, "fault")
@@ -65,10 +81,10 @@ class FileVMA(VMA):
     def handle_fault(self, space: "AddressSpace", vpn: int,
                      write: bool) -> PTE:
         if write:
-            raise SegmentationFault(vpn << 12, "write to file-backed vma")
-        frame = space.physical.allocate()
-        offset = (vpn << 12) - self.range.start
-        chunk = self.content[offset:offset + len(frame.data)]
-        frame.data[:len(chunk)] = chunk
+            raise SegmentationFault(vpn << PAGE_SHIFT,
+                                    "write to file-backed vma")
+        offset = (vpn << PAGE_SHIFT) - self.range.start
+        chunk = self.content[offset:offset + PAGE_SIZE]
+        frame = space.physical.allocate_from(chunk.ljust(PAGE_SIZE, b"\0"))
         space.ledger.charge(space.cost.page_fault_ns, "fault")
         return space.page_table.map(vpn, frame.pfn, PTE_PRESENT)

@@ -41,11 +41,6 @@ class Fabric:
         except KeyError:
             raise Disconnected(f"no machine {mac_addr!r} on fabric") from None
 
-    def reachable(self, mac_addr: str) -> bool:
-        """True when *mac_addr* resolves (attached and not partitioned)."""
-        return (mac_addr in self._machines
-                and mac_addr not in self._partitioned)
-
     def partition(self, mac_addr: str) -> None:
         """Inject a network partition (or NIC link-down) for failure
         testing; every verb/RPC targeting the machine raises

@@ -1,4 +1,4 @@
-"""RDMA NIC model: one-sided READ/WRITE verbs with doorbell batching.
+"""RDMA NIC model: one-sided READ verbs with doorbell batching.
 
 Only what the paper's co-design uses is modeled:
 
@@ -19,7 +19,7 @@ Only what the paper's co-design uses is modeled:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List
 
 from repro.errors import (Disconnected, MemoryError_, NetworkError, QpBroken,
                           RemoteAccessError)
@@ -95,35 +95,40 @@ class QueuePair:
             + len(requests) * cost.rdma_doorbell_entry_ns
             + transfer_time_ns(total_bytes, cost.rdma_bandwidth_gbps)))
 
-    def _error_cost_ns(self) -> int:
-        """Time a failed verb burns before its error completion: one base
-        round-trip (NAK / timeout detection at the requester)."""
-        return int(self._penalty() * self.nic.cost.rdma_base_latency_ns)
-
     # -- verbs -------------------------------------------------------------
 
     def read(self, req: ReadRequest, ledger: Ledger,
              category: str = "rdma-read") -> bytes:
         """One-sided READ: fetch remote physical bytes, charge *ledger*."""
-        remote = self._check_usable(ledger)
-        try:
-            data = remote.physical.read_frame(req.pfn, req.offset,
-                                              req.length)
-        except MemoryError_ as err:
-            self._fail_verb(ledger)
-            raise RemoteAccessError(
-                f"READ of pfn {req.pfn} on {self.remote_mac!r}: remote "
-                f"memory invalid ({err})") from err
-        cost_ns = self.read_cost_ns(req.length)
-        ledger.charge(cost_ns, category)
-        self.reads_posted += 1
-        self.bytes_read += req.length
+        return self.reader(ledger, category, req.length)(req.pfn, req.offset)
+
+    def reader(self, ledger: Ledger, category: str = "rdma-read",
+               length: int = PAGE_SIZE) -> Callable[..., bytes]:
+        """Check the QP and price a *length*-byte READ once for a run of
+        them: each ``read(pfn, offset=0)`` is still a separate one-sided
+        READ at that full latency (only :meth:`read_batch` batches)."""
+        read_frame = self._check_usable(ledger).physical.read_frame
+        cost_ns = self.read_cost_ns(length)
         hub = _telemetry()
-        if hub is not None:
-            self._observe_ops(hub, "reads", 1, req.length, cost_ns)
-            hub.op(self.nic.mac_addr, "net.rdma", "read", ledger, cost_ns,
-                   remote=self.remote_mac, bytes=req.length)
-        return data
+
+        def read(pfn: int, offset: int = 0) -> bytes:
+            try:
+                data = read_frame(pfn, offset, length)
+            except MemoryError_ as err:
+                self._fail_verb(ledger)
+                raise RemoteAccessError(
+                    f"READ of pfn {pfn} on {self.remote_mac!r}: remote "
+                    f"memory invalid ({err})") from err
+            ledger.charge(cost_ns, category)
+            self.reads_posted += 1
+            self.bytes_read += length
+            if hub is not None:
+                self._observe_reads(hub, 1, length, cost_ns)
+                hub.op(self.nic.mac_addr, "net.rdma", "read", ledger,
+                       cost_ns, remote=self.remote_mac, bytes=length)
+            return data
+
+        return read
 
     def read_batch(self, requests: List[ReadRequest], ledger: Ledger,
                    category: str = "rdma-read") -> List[bytes]:
@@ -150,7 +155,7 @@ class QueuePair:
         self.bytes_read += nbytes
         hub = _telemetry()
         if hub is not None:
-            self._observe_ops(hub, "reads", len(requests), nbytes, cost_ns)
+            self._observe_reads(hub, len(requests), nbytes, cost_ns)
             mac = self.nic.mac_addr
             hub.count(mac, "net.rdma", "doorbells", rings)
             hub.observe(mac, "net.rdma", "doorbell.batch_entries",
@@ -160,33 +165,13 @@ class QueuePair:
                    bytes=nbytes)
         return out
 
-    def write(self, pfn: int, data: bytes, offset: int, ledger: Ledger,
-              category: str = "rdma-write") -> None:
-        """One-sided WRITE into a remote physical frame."""
-        remote = self._check_usable(ledger)
-        try:
-            remote.physical.write_frame(pfn, data, offset)
-        except MemoryError_ as err:
-            self._fail_verb(ledger)
-            raise RemoteAccessError(
-                f"WRITE of pfn {pfn} on {self.remote_mac!r}: remote "
-                f"memory invalid ({err})") from err
-        cost_ns = self.read_cost_ns(len(data))
-        ledger.charge(cost_ns, category)
-        hub = _telemetry()
-        if hub is not None:
-            self._observe_ops(hub, "writes", 1, len(data), cost_ns)
-            hub.op(self.nic.mac_addr, "net.rdma", "write", ledger, cost_ns,
-                   remote=self.remote_mac, bytes=len(data))
-
-    def _observe_ops(self, hub, op: str, n: int, nbytes: int,
-                     cost_ns: int) -> None:
-        """Publish per-QP and per-NIC counters for *n* verbs."""
+    def _observe_reads(self, hub, n: int, nbytes: int, cost_ns: int) -> None:
+        """Publish per-QP and per-NIC counters for *n* READs."""
         mac = self.nic.mac_addr
-        hub.count(mac, "net.rdma", op, n)
+        hub.count(mac, "net.rdma", "reads", n)
         hub.count(mac, "net.rdma", "bytes", nbytes)
         hub.count(mac, "net.rdma", "busy.ns", cost_ns)
-        hub.count(mac, "net.rdma", f"qp.{self.remote_mac}.{op}", n)
+        hub.count(mac, "net.rdma", f"qp.{self.remote_mac}.reads", n)
         hub.count(mac, "net.rdma", f"qp.{self.remote_mac}.bytes", nbytes)
         if hub.timelines is not None:
             # saturation-timeline feed: payload bytes in flight on this
@@ -205,7 +190,10 @@ class QueuePair:
         self.connected = False
 
     def _fail_verb(self, ledger: Ledger) -> None:
-        ledger.charge(self._error_cost_ns(), "rdma-fault")
+        """A failed verb burns one base round-trip before its error
+        completion (NAK / timeout detection at the requester)."""
+        ledger.charge(int(self._penalty()
+                          * self.nic.cost.rdma_base_latency_ns), "rdma-fault")
         self.failed_verbs += 1
         hub = _telemetry()
         if hub is not None:
@@ -234,10 +222,6 @@ class QueuePair:
             raise QpBroken(
                 f"QP to {self.remote_mac!r} is stale (remote restarted)")
         return remote
-
-    def _check_connected(self) -> None:
-        if not self.connected:
-            raise Disconnected(f"QP to {self.remote_mac!r} is torn down")
 
 
 class RdmaNic:
@@ -275,10 +259,6 @@ class RdmaNic:
             hub.op(self.mac_addr, "net.rdma", "qp.connect", ledger, setup,
                    remote=remote_mac)
         return qp
-
-    def connected_to(self, remote_mac: str) -> bool:
-        qp = self._qps.get(remote_mac)
-        return qp is not None and qp.connected and not qp.broken
 
     # -- failure handling --------------------------------------------------
 

@@ -141,9 +141,18 @@ class MLModelValue:
     def nbytes(self) -> int:
         return sum(t.nbytes() for t in self.trees)
 
+    def predict_margins(self, rows: np.ndarray) -> np.ndarray:
+        """Sum of per-tree outputs for every row of *rows*, accumulated
+        tree by tree as a row-at-a-time sum would: the same floats."""
+        rows = np.asarray(rows)
+        margins = np.zeros(len(rows))
+        for tree in self.trees:
+            margins += tree.predict_rows(rows)
+        return margins
+
     def predict_margin(self, x: np.ndarray) -> float:
         """Sum of per-tree outputs for one feature vector."""
-        return float(sum(t.predict(x) for t in self.trees))
+        return float(self.predict_margins(np.asarray(x)[None])[0])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MLModelValue)
@@ -187,14 +196,22 @@ class TreeValue:
         return (self.feature.nbytes + self.threshold.nbytes
                 + self.left.nbytes + self.right.nbytes + self.value.nbytes)
 
+    def predict_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The leaf value each row of *rows* reaches, all rows walked one
+        tree level at a time."""
+        rows = np.asarray(rows)
+        node = np.zeros(len(rows), dtype=np.intp)
+        active = np.flatnonzero(self.feature[node] >= 0)
+        while active.size:
+            at = node[active]
+            goes_left = rows[active, self.feature[at]] <= self.threshold[at]
+            at = np.where(goes_left, self.left[at], self.right[at])
+            node[active] = at
+            active = active[self.feature[at] >= 0]
+        return self.value[node]
+
     def predict(self, x: np.ndarray) -> float:
-        i = 0
-        while self.feature[i] >= 0:
-            if x[self.feature[i]] <= self.threshold[i]:
-                i = int(self.left[i])
-            else:
-                i = int(self.right[i])
-        return float(self.value[i])
+        return float(self.predict_rows(np.asarray(x)[None])[0])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TreeValue)

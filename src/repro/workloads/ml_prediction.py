@@ -17,11 +17,13 @@ from typing import List
 import numpy as np
 
 from repro.platform.dag import FunctionSpec, Workflow
-from repro.runtime.values import MLModelValue
+from repro.runtime.values import MLModelValue, TreeValue
 from repro.units import MB, us
 from repro.workloads.data import make_images
-from repro.workloads.ml_training import (binary_labels, images_to_matrix,
-                                         pca_transform, predict_margins)
+from repro.workloads.ml_training import (binary_labels, boost,
+                                         images_to_matrix, pca_transform,
+                                         predict_margins, reference_basis,
+                                         split_images)
 
 PREDICT_WIDTH = 16
 DEFAULT_IMAGES = 640
@@ -41,31 +43,19 @@ def train_reference_model(n_components: int = 16, n_trees: int = 64,
     is 8.6 MB over 64 trees, ~4,800 nodes per tree); predictions are
     unaffected.
     """
-    from repro.workloads.ml_training import TreeValue, grow_tree
-
     images, labels = make_images(n_images=600, seed=seed + 123)
     matrix = images_to_matrix(images)
-    from repro.workloads.ml_training import reference_basis
     mean, comps = reference_basis(n_components)
     feats = pca_transform(matrix, mean, comps)
-    target = binary_labels(labels)
-    rng = np.random.default_rng(seed + 7)
-    margins = np.zeros(len(target))
-    trees = []
-    for _ in range(n_trees):
-        residual = target - np.tanh(margins)
-        tree = grow_tree(feats, residual, rng)
-        if pad_nodes > tree.n_nodes:
-            tree = _pad_tree(tree, pad_nodes)
-        trees.append(tree)
-        margins += 0.3 * np.array([tree.predict(x) for x in feats])
-    return MLModelValue(trees, n_features=n_components)
+    trees = boost(feats, binary_labels(labels), n_trees,
+                  np.random.default_rng(seed + 7))
+    return MLModelValue(
+        [_pad_tree(tree, pad_nodes) if pad_nodes > tree.n_nodes else tree
+         for tree in trees], n_features=n_components)
 
 
 def _pad_tree(tree, total_nodes: int):
     """Append unreachable leaf nodes so arrays reach *total_nodes*."""
-    from repro.workloads.ml_training import TreeValue
-
     extra = total_nodes - tree.n_nodes
     return TreeValue(
         feature=np.concatenate([tree.feature,
@@ -112,12 +102,7 @@ def partition_inputs(ctx):
     seed = ctx.params.get("seed", 0)
     images, labels = make_images(n_images=n_images, seed=seed + 5000)
     ctx.charge_compute(n_images * us(1))
-    chunk = (n_images + width - 1) // width
-    parts = []
-    for p in range(width):
-        sl = slice(p * chunk, min((p + 1) * chunk, n_images))
-        parts.append({"images": images[sl], "labels": labels[sl]})
-    return parts
+    return split_images(images, labels, width)
 
 
 def predict(ctx):
@@ -126,7 +111,6 @@ def predict(ctx):
     part = ctx.single_input("partition")
     if not part["images"]:
         return {"labels": [], "truth": []}
-    from repro.workloads.ml_training import reference_basis
     matrix = images_to_matrix(part["images"])
     mean, comps = reference_basis(model.n_features)
     feats = pca_transform(matrix, mean, comps)

@@ -13,6 +13,7 @@ sensitivity analysis does (Fig 13a).
 
 from __future__ import annotations
 
+import hashlib
 from typing import List, Tuple
 
 import numpy as np
@@ -144,8 +145,20 @@ def _best_split(feats: np.ndarray, resid: np.ndarray,
     return best
 
 
+def boost(feats: np.ndarray, target: np.ndarray, n_trees: int,
+          rng: np.random.Generator, lr: float = 0.3) -> List[TreeValue]:
+    """Gradient-boost *n_trees* trees on tanh-loss residuals."""
+    margins = np.zeros(len(target))
+    trees: List[TreeValue] = []
+    for _ in range(n_trees):
+        tree = grow_tree(feats, target - np.tanh(margins), rng)
+        trees.append(tree)
+        margins += lr * tree.predict_rows(feats)
+    return trees
+
+
 def predict_margins(model: MLModelValue, features: np.ndarray) -> np.ndarray:
-    return np.array([model.predict_margin(x) for x in features])
+    return model.predict_margins(features)
 
 
 def binary_labels(labels: List[int]) -> np.ndarray:
@@ -162,26 +175,29 @@ def partition_images(ctx):
     seed = ctx.params.get("seed", 0)
     images, labels = make_images(n_images=n_images, seed=seed)
     ctx.charge_compute(n_images * us(2))  # decode/stage each image
-    chunk = (n_images + PCA_WIDTH - 1) // PCA_WIDTH
-    parts = []
-    for p in range(PCA_WIDTH):
-        sl = slice(p * chunk, min((p + 1) * chunk, n_images))
-        parts.append({"images": images[sl], "labels": labels[sl]})
-    return parts
+    return split_images(images, labels, PCA_WIDTH)
+
+
+def split_images(images: list, labels: list, width: int) -> List[dict]:
+    """*width* contiguous ``{"images", "labels"}`` slices of the set."""
+    chunk = (len(images) + width - 1) // width
+    return [{"images": images[p * chunk:(p + 1) * chunk],
+             "labels": labels[p * chunk:(p + 1) * chunk]}
+            for p in range(width)]
 
 
 def pca_features(ctx):
     """One PCA instance: featurize its partition on the shared basis.
 
-    The fit cost is still paid (each instance computes its partition's
-    covariance statistics, as ORION's PCA stage does); the emitted features
-    are projections onto the canonical basis so downstream trainers can
-    stack partitions coherently.
+    The emitted features are projections onto the canonical basis, so
+    trainers can stack partitions coherently.  ORION's stage also fits
+    its partition's covariance: that fit is *charged* (``_PCA_NS_PER_CELL``
+    covers covariance + projection) but not computed — no output depends
+    on it, and an ``eigh`` of pixels x pixels does not shrink with scale.
     """
     part = ctx.single_input("partition")
     n_components = ctx.params.get("n_components", DEFAULT_COMPONENTS)
     matrix = images_to_matrix(part["images"])
-    fit_pca(matrix, n_components)  # partition statistics (real work)
     mean, comps = reference_basis(n_components)
     feats = pca_transform(matrix, mean, comps)
     ctx.charge_compute(matrix.size * _PCA_NS_PER_CELL)
@@ -199,21 +215,13 @@ def _boost_trees(feats: np.ndarray, target: np.ndarray, n_trees: int,
     re-train identically under every transport, so caching only removes
     redundant host CPU — the simulated compute charge is unaffected.
     """
-    key = (instance_index, n_trees, feats.shape,
-           float(feats[0, 0]) if feats.size else 0.0,
-           float(target.sum()))
+    key = (instance_index, n_trees, feats.shape, hashlib.blake2b(
+        feats.tobytes() + target.tobytes(), digest_size=16).digest())
     cached = _TREE_CACHE.get(key)
     if cached is not None:
         return cached
-    rng = np.random.default_rng(1000 + instance_index)
-    margins = np.zeros(len(target))
-    trees: List[TreeValue] = []
-    lr = 0.3
-    for _t in range(n_trees):
-        residual = target - np.tanh(margins)
-        tree = grow_tree(feats, residual, rng)
-        trees.append(tree)
-        margins += lr * np.array([tree.predict(x) for x in feats])
+    trees = boost(feats, target, n_trees,
+                  np.random.default_rng(1000 + instance_index))
     if len(_TREE_CACHE) < 64:
         _TREE_CACHE[key] = trees
     return trees

@@ -124,15 +124,6 @@ def test_empty_batch_is_free(cluster):
     assert ledger.pending == 0
 
 
-def test_rdma_write(cluster):
-    _, _, (m0, m1) = cluster
-    frame = m1.physical.allocate()
-    ledger = Ledger()
-    qp = m0.nic.connect("mac1", ledger)
-    qp.write(frame.pfn, b"written", 0, ledger)
-    assert bytes(frame.data[:7]) == b"written"
-
-
 def test_disconnected_qp_rejects_verbs(cluster):
     _, _, (m0, m1) = cluster
     frame = m1.physical.allocate()

@@ -51,15 +51,6 @@ def test_batched_read_fails_on_first_bad_page(pair):
     assert ledger.total("rdma-fault") > 0
 
 
-def test_write_to_reclaimed_frame_raises_typed_error(pair):
-    _fabric, _m0, m1, qp, ledger = pair
-    frame = m1.physical.allocate()
-    m1.physical.put(frame.pfn)
-    with pytest.raises(RemoteAccessError):
-        qp.write(frame.pfn, b"x", 0, ledger)
-    assert ledger.total("rdma-fault") > 0
-
-
 def test_broken_qp_raises_and_charges(pair):
     _fabric, _m0, m1, qp, ledger = pair
     frame = m1.physical.allocate()

@@ -202,6 +202,19 @@ def test_single_run_is_bit_identical_with_lineage_on_and_off():
     assert on.stage_totals() == off.stage_totals()
 
 
+def test_page_run_faults_are_bit_identical_with_lineage_on_and_off():
+    """Image batches and tree arrays: reads of 5-11 pages, faulted a run
+    at a time, every page still recorded on its own."""
+    on = run("ml-prediction", transport="rmmap", seed=0, scale=SCALE,
+             lineage=True)
+    off = run("ml-prediction", transport="rmmap", seed=0, scale=SCALE)
+    assert on.latency_ns == off.latency_ns
+    assert on.stage_totals() == off.stage_totals()
+    demand = sum(edge["pages"]["demand"]
+                 for edge in on.lineage()["edges"].values())
+    assert demand > 1000
+
+
 def test_fleet_json_is_bit_identical_with_lineage_on_and_off():
     on = run_fleet(smoke=True, lineage=True)
     off = run_fleet(smoke=True)

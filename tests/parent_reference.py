@@ -1,4 +1,5 @@
-"""Per-object reference algorithms the run-at-a-time code must equal.
+"""Per-object and per-page reference algorithms the run-at-a-time code
+must equal.
 
 These are the implementations the repository had before heap
 reconstruction, ``box``, ``load``, ``traverse`` and ``serialize`` went
@@ -11,6 +12,12 @@ require the same bytes, addresses, faults, lineage calls and ledger
 totals.  The bodies are the old code verbatim, except that every memory
 access goes through :func:`read_per_page` / :func:`write_per_page`, so
 nothing here runs the code it is the reference for.
+
+Below the page: :func:`translate_per_page` and what it calls are the
+fault path as it was before pages went a run at a time — one
+``translate`` -> ``find_vma`` -> ``handle_fault`` -> ``qp.read`` ->
+``allocate`` -> ``map`` chain per page — taking the space / VMA / QP /
+physical memory they used to be methods of as their first argument.
 """
 
 import struct
@@ -19,9 +26,15 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.errors import SerializationError
-from repro.mem import PAGE_SIZE
-from repro.mem.layout import page_round_down
+from repro.errors import (MemoryError_, OutOfMemory, QpBroken,
+                          RemoteAccessError, SegmentationFault,
+                          SerializationError)
+from repro.kernel.remote_pager import FETCH_RDMA, RemoteVMA
+from repro.mem import PAGE_SIZE, AnonymousVMA
+from repro.mem.layout import page_number, page_round_down
+from repro.mem.pagetable import PTE_COW, PTE_PRESENT, PTE_WRITE
+from repro.mem.physical import Frame
+from repro.net.rdma import ReadRequest
 from repro.obs.telemetry import current as telemetry
 from repro.runtime import objects as enc
 from repro.runtime.heap import (_PACK_MIN, _PRIM_SLOT, ManagedHeap,
@@ -87,7 +100,7 @@ def read_per_page(space, vaddr: int, length: int) -> bytes:
         hub.lineage.touched(space.name, vaddr, length)
     out = bytearray()
     while length > 0:
-        pte = space.translate(vaddr)
+        pte = translate_per_page(space, vaddr)
         off = vaddr % PAGE_SIZE
         chunk = min(length, PAGE_SIZE - off)
         out += space.physical.frame(pte.pfn).data[off:off + chunk]
@@ -104,7 +117,7 @@ def write_per_page(space, vaddr: int, data: bytes) -> None:
     pos = 0
     remaining = len(data)
     while remaining > 0:
-        pte = space.translate(vaddr, write=True)
+        pte = translate_per_page(space, vaddr, write=True)
         off = vaddr % PAGE_SIZE
         chunk = min(remaining, PAGE_SIZE - off)
         space.physical.frame(pte.pfn).data[off:off + chunk] = \
@@ -112,6 +125,190 @@ def write_per_page(space, vaddr: int, data: bytes) -> None:
         vaddr += chunk
         pos += chunk
         remaining -= chunk
+
+
+# --- the per-page fault path ---------------------------------------------------------
+
+def translate_per_page(space, vaddr: int, write: bool = False):
+    """``AddressSpace.translate``: resolve one page, faulting it in."""
+    vpn = page_number(vaddr)
+    pte = space.page_table.lookup(vpn)
+    space.ledger.charge(space.cost.page_table_walk_ns, "mmu")
+    if pte is None:
+        vma = space.find_vma(vaddr)
+        if vma is None:
+            raise SegmentationFault(vaddr)
+        space.fault_count += 1
+        pte = handle_fault_per_page(vma, space, vpn, write)
+        hub = telemetry()
+        if hub is not None:
+            hub.count(space.name, "mem", "faults")
+            hub.gauge_max(space.name, "mem", "resident.pages.hw",
+                          len(space.page_table))
+    if write:
+        if pte.cow:
+            pte = _break_cow_per_page(space, vpn, pte)
+        elif not pte.writable:
+            raise SegmentationFault(vaddr, "write to read-only page")
+    return pte
+
+
+def _break_cow_per_page(space, vpn: int, pte):
+    space.cow_break_count += 1
+    old_pfn = pte.pfn
+    src = space.physical.frame(old_pfn)
+    frame = allocate_per_page(space.physical)
+    frame.data[:] = src.data
+    put_per_page(space.physical, old_pfn)
+    space.ledger.charge(space.cost.page_fault_ns, "cow-break")
+    hub = telemetry()
+    if hub is not None:
+        hub.count(space.name, "mem", "cow.breaks")
+        if hub.lineage is not None:
+            hub.lineage.cow_broken(space.name, vpn)
+    return space.page_table.remap(vpn, frame.pfn, PTE_PRESENT | PTE_WRITE)
+
+
+def handle_fault_per_page(vma, space, vpn: int, write: bool):
+    """``vma.handle_fault`` as it was: the anonymous and the remote
+    handler below, any other class's own (it is per-page code still)."""
+    if type(vma) is AnonymousVMA:
+        return _anonymous_fault(vma, space, vpn, write)
+    if type(vma) is RemoteVMA:
+        return _remote_fault(vma, space, vpn, write)
+    return vma.handle_fault(space, vpn, write)
+
+
+def _anonymous_fault(vma, space, vpn: int, write: bool):
+    if write and not vma.writable:
+        raise SegmentationFault(vpn << 12, "write to read-only vma")
+    frame = allocate_per_page(space.physical)
+    flags = PTE_PRESENT | (PTE_WRITE if vma.writable else 0)
+    space.ledger.charge(space.cost.page_fault_ns, "fault")
+    return space.page_table.map(vpn, frame.pfn, flags)
+
+
+def _remote_fault(vma, space, vpn: int, write: bool):
+    space.ledger.charge(space.cost.page_fault_ns, "remote-fault")
+    hub = telemetry()
+    lin = hub.lineage if hub is not None else None
+    fallback0 = vma.fallback_faults
+    remote_pfn = vma._ensure_pte(space, vpn)  # reports its own PTE fetch
+    if remote_pfn is None:
+        # never materialized at the producer: demand-zero locally
+        vma.zero_fill_faults += 1
+        frame = allocate_per_page(space.physical)
+        if lin is not None:
+            lin.page_pulled(vma.name, space.name, vpn, "zero_fill", 0)
+    elif vma.qp is None:
+        # same machine: share the producer's frame directly (CoW)
+        vma.remote_faults += 1
+        frame = space.physical.get(remote_pfn)
+        if lin is not None:
+            lin.page_pulled(vma.name, space.name, vpn, "shared", 0)
+    else:
+        vma.remote_faults += 1
+        vma.pages_fetched += 1
+        data = _fetch_page_per_page(vma, space, remote_pfn)
+        frame = allocate_per_page(space.physical)
+        frame.data[:] = data
+        if lin is not None:
+            lin.page_pulled(vma.name, space.name, vpn, "demand",
+                            PAGE_SIZE,
+                            rpc=(vma.fetch_mode != FETCH_RDMA
+                                 or vma.fallback_faults > fallback0))
+    return space.page_table.map(vpn, frame.pfn, PTE_PRESENT | PTE_COW)
+
+
+def _fetch_page_per_page(vma, space, remote_pfn: int) -> bytes:
+    if vma.fetch_mode == FETCH_RDMA:
+        try:
+            return qp_read_per_page(vma.qp, ReadRequest(remote_pfn),
+                                    space.ledger, category="rdma-read")
+        except QpBroken:
+            if not vma.rpc_fallback:
+                raise
+            vma.fallback_faults += 1
+            return vma._fetch_page_rpc(space, remote_pfn)
+    return vma._fetch_page_rpc(space, remote_pfn)
+
+
+def qp_read_per_page(qp, req, ledger, category: str = "rdma-read") -> bytes:
+    """``QueuePair.read``: one usability check and one price per READ."""
+    remote = qp._check_usable(ledger)
+    try:
+        data = remote.physical.read_frame(req.pfn, req.offset, req.length)
+    except MemoryError_ as err:
+        qp._fail_verb(ledger)
+        raise RemoteAccessError(
+            f"READ of pfn {req.pfn} on {qp.remote_mac!r}: remote "
+            f"memory invalid ({err})") from err
+    cost_ns = qp.read_cost_ns(req.length)
+    ledger.charge(cost_ns, category)
+    qp.reads_posted += 1
+    qp.bytes_read += req.length
+    hub = telemetry()
+    if hub is not None:
+        qp._observe_reads(hub, 1, req.length, cost_ns)
+        hub.op(qp.nic.mac_addr, "net.rdma", "read", ledger, cost_ns,
+               remote=qp.remote_mac, bytes=req.length)
+    return data
+
+
+def allocate_per_page(physical):
+    """``PhysicalMemory.allocate``: a zeroed frame with refcount 1."""
+    if physical.used_frames >= physical.capacity_frames:
+        raise OutOfMemory(
+            f"physical memory exhausted ({physical.capacity_frames} frames)")
+    if physical._free_pfns:
+        pfn = physical._free_pfns.pop()
+    else:
+        pfn = physical._next_pfn
+        physical._next_pfn += 1
+    frame = Frame(pfn)
+    physical._frames[pfn] = frame
+    if physical.used_frames > physical.peak_frames:
+        physical.peak_frames = physical.used_frames
+        hub = telemetry()
+        if hub is not None:
+            hub.gauge_max(physical.owner, "mem", "frames.resident.hw",
+                          physical.peak_frames)
+    hub = telemetry()
+    if hub is not None and hub.timelines is not None:
+        hub.gauge(physical.owner, "mem", "frames.resident",
+                  physical.used_frames)
+        if (physical.owner, "mem", "frames.capacity") not in hub.gauges:
+            hub.gauge(physical.owner, "mem", "frames.capacity",
+                      physical.capacity_frames)
+    return frame
+
+
+def put_per_page(physical, pfn: int) -> None:
+    """``PhysicalMemory.put``: drop one reference, free at zero."""
+    frame = physical.frame(pfn)
+    if frame.refcount <= 0:
+        raise MemoryError_(f"refcount underflow on pfn {pfn}")
+    frame.refcount -= 1
+    if frame.refcount == 0:
+        del physical._frames[pfn]
+        physical._free_pfns.append(pfn)
+
+
+def unmap_vma_per_page(space, vma, free_frames: bool = True) -> None:
+    """``AddressSpace.unmap_vma``: unmap and put one page at a time."""
+    space._vmas.remove(vma)
+    table = space.page_table
+    first = page_number(vma.range.start)
+    last = page_number(vma.range.end - 1)
+    present = [(vpn, table.lookup(vpn)) for vpn in sorted(table._entries)
+               if first <= vpn <= last]
+    for vpn, pte in present:
+        table.unmap(vpn)
+        if free_frames:
+            put_per_page(space.physical, pte.pfn)
+    hub = telemetry()
+    if hub is not None and hub.lineage is not None:
+        hub.lineage.vma_unmapped(space.name, vma.name)
 
 
 def deserialize_per_object(heap, state, prefix: str = "") -> int:
@@ -793,6 +990,22 @@ def _child_indices(heap, tag: TypeTag, payload: bytes, skip: int,
     return enc.pack_pointers(indices)
 
 
+def predict_per_row(tree, x) -> float:
+    """``TreeValue.predict`` as one scalar walk from the root."""
+    i = 0
+    while tree.feature[i] >= 0:
+        if x[tree.feature[i]] <= tree.threshold[i]:
+            i = int(tree.left[i])
+        else:
+            i = int(tree.right[i])
+    return float(tree.value[i])
+
+
+def predict_margin_per_row(model, x) -> float:
+    """``MLModelValue.predict_margin`` as a sum over per-row walks."""
+    return float(sum(predict_per_row(t, x) for t in model.trees))
+
+
 class RecordingLineage:
     """Stands in for the lineage tracker: keeps the calls it is sent."""
 
@@ -810,6 +1023,8 @@ def space_state(space):
     table = space.page_table.snapshot(0, 1 << 52)
     return {
         "pfn": table,
+        "flags": {vpn: space.page_table.lookup(vpn).flags for vpn in table},
+        "free": list(space.physical._free_pfns),
         "bytes": {vpn: bytes(space.physical.frame(pfn).data)
                   for vpn, pfn in table.items()},
         "ledger": space.ledger.breakdown(),

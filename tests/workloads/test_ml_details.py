@@ -1,13 +1,21 @@
 """Deeper unit tests for the ML workload building blocks."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.api import run
+from repro.runtime.values import MLModelValue, TreeValue
+from repro.transfer import list_transports
 from repro.workloads.data import make_images
 from repro.workloads.ml_prediction import _pad_tree, train_reference_model
 from repro.workloads.ml_training import (binary_labels, fit_pca, grow_tree,
                                          images_to_matrix, pca_transform,
                                          predict_margins, reference_basis)
+
+from ..parent_reference import predict_margin_per_row, predict_per_row
 
 
 def test_images_to_matrix_shape_and_scale():
@@ -101,3 +109,94 @@ def test_tree_cache_returns_equal_results():
     assert first is second  # memoized
     other = _boost_trees(feats, target, 2, instance_index=1)
     assert other is not first
+
+
+def test_tree_cache_tells_training_sets_apart():
+    """Two matrices that share a first cell and a label sum are still
+    two training sets (the memo used to be keyed on just those)."""
+    from repro.workloads.ml_training import _boost_trees
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(2, 128, 8))
+    b[0, 0] = a[0, 0]
+    target = np.sign(rng.normal(size=128))
+    first = _boost_trees(a, target, 2, 0)
+    second = _boost_trees(b, target[::-1].copy(), 2, 0)
+    assert second is not first
+    assert second != first
+    assert _boost_trees(a.copy(), target.copy(), 2, 0) is first
+
+
+# --- the many-rows predict is the per-row predict, bit for bit ---------------------------
+
+@st.composite
+def ensembles(draw):
+    """A few random trees over 1-4 features: single-leaf trees, padding
+    leaves nothing reaches, thresholds drawn from the same small set as
+    the rows (so ``x <= threshold`` ties happen), values of mixed sign."""
+    n_features = draw(st.integers(1, 4))
+    grid = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0])
+    leaf_values = st.floats(-1e6, 1e6, allow_nan=False, width=64)
+    trees = []
+    for _ in range(draw(st.integers(0, 5))):
+        internal = draw(st.integers(0, 6))
+        nodes = 2 * internal + 1 + draw(st.integers(0, 3))  # + padding
+        feature = [-1] * nodes
+        threshold, left, right = [0.0] * nodes, [0] * nodes, [0] * nodes
+        leaves, used = [0], 1
+        for _split in range(internal):  # split a random leaf in two
+            node = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
+            feature[node] = draw(st.integers(0, n_features - 1))
+            threshold[node] = draw(grid)
+            left[node], right[node] = used, used + 1
+            leaves += [used, used + 1]
+            used += 2
+        value = draw(st.lists(leaf_values, min_size=nodes, max_size=nodes))
+        trees.append(TreeValue(feature, threshold, left, right, value))
+    rows = draw(st.lists(st.lists(grid, min_size=n_features,
+                                  max_size=n_features), max_size=12))
+    return (MLModelValue(trees, n_features),
+            np.array(rows, dtype=np.float64).reshape(len(rows), n_features))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensembles())
+def test_many_rows_predict_equals_the_per_row_walk(case):
+    model, rows = case
+    margins = predict_margins(model, rows)
+    assert margins.dtype == np.float64 and margins.shape == (len(rows),)
+    assert np.array_equal(
+        margins, np.array([predict_margin_per_row(model, x) for x in rows],
+                          dtype=np.float64))
+    for tree in model.trees:
+        assert np.array_equal(
+            tree.predict_rows(rows),
+            np.array([predict_per_row(tree, x) for x in rows],
+                     dtype=np.float64))
+        for x in rows[:2]:
+            assert tree.predict(x) == predict_per_row(tree, x)
+    for x in rows[:2]:
+        assert model.predict_margin(x) == predict_margin_per_row(model, x)
+
+
+def _result_digest(result: dict) -> str:
+    digest = hashlib.sha256()
+    for tree in getattr(result.get("model"), "trees", ()):
+        for array in (tree.feature, tree.threshold, tree.left, tree.right,
+                      tree.value):
+            digest.update(array.tobytes())
+    digest.update(repr(sorted(
+        (k, v) for k, v in result.items() if k != "model")).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("workflow, digest", [
+    # recorded before pca_features stopped fitting and predict went
+    # many-rows: every tree array of the merged model, accuracy, counts
+    ("ml-training", "6b7ca1a8139e4082"),
+    ("ml-prediction", "9392602eb0a5376c"),
+])
+def test_ml_results_are_what_they_were_on_every_transport(workflow, digest):
+    for transport in list_transports():
+        result = run(workflow, transport=transport, seed=0,
+                     scale=0.05).record.result
+        assert _result_digest(result) == digest, transport
