@@ -1,95 +1,51 @@
 """Ablations of the design choices DESIGN.md calls out."""
 
-from repro.analysis.report import Table
-from repro.bench.ablations import (ablation_compression,
-                                   ablation_doorbell_batching,
-                                   ablation_page_table_mode,
-                                   ablation_planning,
-                                   ablation_prefetch_threshold,
-                                   ablation_registration_mode,
-                                   ablation_rmap_conflict_demo)
-
-from .conftest import run_once
+from .conftest import run_row
 
 
-def test_ablation_static_vs_dynamic_planning(benchmark):
-    """Section 4.2: static planning keeps cached containers reusable for
-    rmap; dynamic planning relocates slots and defeats caching."""
-    result = run_once(benchmark, ablation_planning)
-    print(result)
-    assert result["static_cached_container_reusable"] is True
-    assert result["dynamic_cached_container_reusable"] is False
+def test_ablations(benchmark):
+    results = run_row(benchmark, "ablations")
+
+    # Section 4.2: static planning keeps cached containers reusable for
+    # rmap; dynamic planning relocates slots and defeats caching
+    planning = results["planning"]
+    assert planning["static_cached_container_reusable"] is True
+    assert planning["dynamic_cached_container_reusable"] is False
     # the conflict is real: an overlapped consumer cannot rmap
-    outcome = ablation_rmap_conflict_demo()
-    print(outcome)
-    assert outcome.startswith("fallback-to-messaging")
+    assert results["conflict"].startswith("fallback-to-messaging")
 
+    # Section 6: heap-only registration skips marking the library
+    # resident set (cheaper transform) — whole-space pays for generality
+    registration = results["registration"]
+    assert registration["heap-only"]["transform_ms"] \
+        < registration["whole-space"]["transform_ms"]
 
-def test_ablation_registration_mode(benchmark):
-    """Section 6: heap-only registration skips marking the library
-    resident set (cheaper transform) — whole-space pays for generality."""
-    result = run_once(benchmark, ablation_registration_mode)
-    table = Table("Ablation: registration mode",
-                  ["mode", "transform_ms", "network_ms"])
-    for mode, d in result.items():
-        table.add_row(mode, d["transform_ms"], d["network_ms"])
-    table.print()
-    assert result["heap-only"]["transform_ms"] \
-        < result["whole-space"]["transform_ms"]
-
-
-def test_ablation_page_table_mode(benchmark):
-    """Section 6 future work: on-demand PTE fetch makes rmap setup O(1)
-    in the producer's resident-set size."""
-    result = run_once(benchmark, ablation_page_table_mode)
-    table = Table("Ablation: page-table fetch mode (512 MB resident)",
-                  ["mode", "setup_ms", "read_ms", "e2e_ms"])
-    for mode, d in result.items():
-        table.add_row(mode, d["setup_ms"], d["read_ms"], d["e2e_ms"])
-    table.print()
-    assert result["ondemand"]["setup_ms"] < result["eager"]["setup_ms"] / 2
+    # Section 6 future work: on-demand PTE fetch makes rmap setup O(1) in
+    # the producer's resident-set size
+    page_table = results["page_table"]
+    assert page_table["ondemand"]["setup_ms"] \
+        < page_table["eager"]["setup_ms"] / 2
     # lazy mode pays a little more during reads (region RPCs)
-    assert result["ondemand"]["read_ms"] >= result["eager"]["read_ms"]
+    assert page_table["ondemand"]["read_ms"] \
+        >= page_table["eager"]["read_ms"]
 
+    # Section 6: compression shrinks the wire but costs critical-path
+    # CPU; on a 100 Gbps-fabric-backed messaging path it does not pay
+    compression = results["compression"]
+    assert compression["compressed"]["wire_kb"] \
+        < compression["plain"]["wire_kb"]
+    assert compression["compressed"]["transform_ms"] > \
+        compression["plain"]["transform_ms"]
 
-def test_ablation_compression(benchmark):
-    """Section 6: compression shrinks the wire but costs critical-path
-    CPU; on a 100 Gbps-fabric-backed messaging path it does not pay."""
-    result = run_once(benchmark, ablation_compression)
-    table = Table("Ablation: messaging compression",
-                  ["variant", "e2e_ms", "wire_kb", "transform_ms",
-                   "network_ms"])
-    for name, d in result.items():
-        table.add_row(name, d["e2e_ms"], d["wire_kb"], d["transform_ms"],
-                      d["network_ms"])
-    table.print()
-    assert result["compressed"]["wire_kb"] < result["plain"]["wire_kb"]
-    assert result["compressed"]["transform_ms"] > \
-        result["plain"]["transform_ms"]
+    # Section 4.4: one doorbell-batched READ beats per-page READs by
+    # amortizing the base latency and posting CPU
+    doorbell = results["doorbell"]
+    assert doorbell["doorbell"] < doorbell["serial"] / 3
 
-
-def test_ablation_doorbell_batching(benchmark):
-    """Section 4.4: one doorbell-batched READ beats per-page READs by
-    amortizing the base latency and posting CPU."""
-    result = run_once(benchmark, ablation_doorbell_batching)
-    table = Table("Ablation: prefetch read batching",
-                  ["variant", "prefetch_ms"])
-    for name, t in result.items():
-        table.add_row(name, t)
-    table.print()
-    assert result["doorbell"] < result["serial"] / 3
-
-
-def test_ablation_prefetch_threshold(benchmark):
-    """Section 4.4: bounding traversal restores demand-paging behaviour
-    for traversal-heavy states."""
-    result = run_once(benchmark, ablation_prefetch_threshold)
-    table = Table("Ablation: prefetch threshold on list(int)",
-                  ["policy", "e2e_ms"])
-    for policy, e2e in result.items():
-        table.add_row(policy, e2e)
-    table.print()
-    # a low threshold falls back to (and matches) demand paging closely
-    thresholded = min(v for k, v in result.items()
+    # Section 4.4: bounding traversal restores demand-paging behaviour
+    # for traversal-heavy states — a low threshold falls back to (and
+    # matches) demand paging closely
+    threshold = results["prefetch_threshold"]
+    thresholded = min(v for k, v in threshold.items()
                       if k not in ("unbounded", "no-prefetch"))
-    assert thresholded <= result["unbounded"] * 1.05
+    assert thresholded <= threshold["unbounded"] * 1.05

@@ -5,24 +5,11 @@ workflow execution time — 42-98% for messaging and 17-97% for shared
 storage across the four workflows — with function execution a minority.
 """
 
-from repro.analysis.report import Table
-from repro.bench.figures_workflow import fig3_transfer_share
-
-from .conftest import run_once
+from .conftest import run_row
 
 
 def test_fig3(benchmark):
-    results = run_once(benchmark, fig3_transfer_share)
-
-    table = Table("Fig 3: state-transfer cost breakdown",
-                  ["workflow", "transport", "e2e_ms", "func", "platform",
-                   "serdes", "software", "transfer-ratio"])
-    for wf, row in results.items():
-        for tname, d in row.items():
-            table.add_row(wf, tname, d["e2e_ms"], d["func_share"],
-                          d["platform_share"], d["serdes_share"],
-                          d["software_share"], d["transfer_share"])
-    table.print()
+    results = run_row(benchmark, "fig3")
 
     for wf, row in results.items():
         msg = row["messaging"]

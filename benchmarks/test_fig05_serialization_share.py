@@ -6,23 +6,11 @@ takes 17-58% (messaging) / 22-72% (storage) of workflow execution time —
 so optimizing only the software path cannot fix state transfer.
 """
 
-from repro.analysis.report import Table
-from repro.bench.figures_workflow import fig5_serialization_share
-
-from .conftest import run_once
+from .conftest import run_row
 
 
 def test_fig5(benchmark):
-    results = run_once(benchmark, fig5_serialization_share)
-
-    table = Table("Fig 5: (de)serialization share, zero software overhead",
-                  ["workflow", "transport", "e2e_ms", "serdes-share",
-                   "software-share"])
-    for wf, row in results.items():
-        for tname, d in row.items():
-            table.add_row(wf, tname, d["e2e_ms"], d["serdes_share"],
-                          d["software_share"])
-    table.print()
+    results = run_row(benchmark, "fig5")
 
     for wf, row in results.items():
         for tname, d in row.items():

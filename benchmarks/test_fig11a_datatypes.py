@@ -14,10 +14,7 @@ Paper claims reproduced here:
   dataframe, image, model) but not for list(int)/list(str)/dict.
 """
 
-from repro.analysis.report import Table, format_ns
-from repro.bench.figures_micro import fig11a_datatypes
-
-from .conftest import run_once
+from .conftest import run_row
 
 BUFFER_TYPES = ("str", "numpy ndarray", "pandas dataframe", "Pillow Image",
                 "ML model")
@@ -25,18 +22,7 @@ TRAVERSAL_HEAVY = ("list(int)", "list(str)", "dict")
 
 
 def test_fig11a(benchmark):
-    results = run_once(benchmark, fig11a_datatypes)
-
-    table = Table("Fig 11a: per-type transfer breakdown",
-                  ["type", "transport", "T", "N", "R", "E2E"])
-    for type_name, row in results.items():
-        for tname, res in row.items():
-            b = res.breakdown
-            table.add_row(type_name, tname, format_ns(b.transform_ns),
-                          format_ns(b.network_ns),
-                          format_ns(b.reconstruct_ns),
-                          format_ns(b.e2e_ns))
-    table.print()
+    results = run_row(benchmark, "fig11a")
 
     for type_name, row in results.items():
         rmmap = row["rmmap"]

@@ -8,25 +8,11 @@ Paper claims reproduced:
   the eliminated (de)serialization, and the gap widens with payload.
 """
 
-from repro.analysis.report import Table, format_ns
-from repro.bench.figures_micro import fig11b_payload_sweep
-
-from .conftest import run_once
+from .conftest import run_row
 
 
 def test_fig11b(benchmark):
-    results = run_once(benchmark, fig11b_payload_sweep)
-
-    table = Table("Fig 11b: E2E vs list(int) entries",
-                  ["entries", "messaging", "storage", "storage-rdma",
-                   "rmmap", "rmmap-prefetch"])
-    for count, row in sorted(results.items()):
-        table.add_row(count, format_ns(row["messaging"]),
-                      format_ns(row["storage"]),
-                      format_ns(row["storage-rdma"]),
-                      format_ns(row["rmmap"]),
-                      format_ns(row["rmmap-prefetch"]))
-    table.print()
+    results = run_row(benchmark, "fig11b")
 
     counts = sorted(results)
     smallest, largest = counts[0], counts[-1]

@@ -9,45 +9,24 @@ Paper claims reproduced:
   the paper) and delivers much lower p50/p90/p99 latency.
 """
 
-from repro.analysis.report import Table
-from repro.bench.figures_platform import fig12_fixed_rate, fig12_saturated
-
-from .conftest import run_once
+from .conftest import run_row
 
 
-def test_fig12_saturated(benchmark):
-    results = run_once(benchmark, fig12_saturated)
+def test_fig12(benchmark):
+    results = run_row(benchmark, "fig12")
 
-    table = Table("Fig 12 (upper): saturated throughput",
-                  ["transport", "tput/s", "p50_ms", "p99_ms"])
-    for tname, d in results.items():
-        table.add_row(tname, d["throughput_per_s"], d["stats"].p50_ms,
-                      d["stats"].p99_ms)
-    table.print()
-
-    rmmap = results["rmmap"]["throughput_per_s"]
+    saturated = results["saturated"]
+    rmmap = saturated["rmmap"]["throughput_per_s"]
     for tname in ("messaging", "storage-rdma"):
-        other = results[tname]["throughput_per_s"]
+        other = saturated[tname]["throughput_per_s"]
         ratio = rmmap / other
         assert ratio > 1.05, f"peak tput vs {tname}: {ratio:.2f}x"
         assert ratio < 4.0, f"implausible ratio vs {tname}: {ratio:.2f}x"
 
-
-def test_fig12_fixed_rate(benchmark):
-    results = run_once(benchmark, fig12_fixed_rate)
-
-    table = Table("Fig 12 (lower): fixed request rate",
-                  ["transport", "tput/s", "mean-pods", "peak-pods",
-                   "p50_ms", "p90_ms", "p99_ms"])
-    for tname, d in results.items():
-        s = d["stats"]
-        table.add_row(tname, d["throughput_per_s"], d["mean_pods"],
-                      d["peak_pods"], s.p50_ms, s.p90_ms, s.p99_ms)
-    table.print()
-
-    rmmap = results["rmmap"]
+    fixed = results["fixed"]
+    rmmap = fixed["rmmap"]
     for tname in ("messaging", "storage-rdma"):
-        other = results[tname]
+        other = fixed[tname]
         # same offered load is absorbed by everyone
         assert abs(rmmap["throughput_per_s"]
                    - other["throughput_per_s"]) \

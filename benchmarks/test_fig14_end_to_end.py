@@ -8,26 +8,11 @@ Paper claims reproduced:
   eliminated (de)serialization share.
 """
 
-from repro.analysis.report import Table, ascii_bar_chart
-from repro.bench.figures_workflow import fig14_end_to_end
-
-from .conftest import run_once
-
-ORDER = ["messaging", "storage", "storage-rdma", "rmmap", "rmmap-prefetch"]
+from .conftest import run_row
 
 
 def test_fig14(benchmark):
-    results = run_once(benchmark, fig14_end_to_end)
-
-    table = Table("Fig 14: workflow E2E latency (ms)",
-                  ["workflow"] + ORDER)
-    for wf, row in results.items():
-        table.add_row(wf, *[row[t] for t in ORDER])
-    table.print()
-    for wf, row in results.items():
-        print(ascii_bar_chart(f"Fig 14: {wf}", ORDER,
-                              [row[t] for t in ORDER], unit=" ms"))
-        print()
+    results = run_row(benchmark, "fig14")
 
     for wf, row in results.items():
         best_rmmap = min(row["rmmap"], row["rmmap-prefetch"])

@@ -12,22 +12,11 @@ Paper claims reproduced:
   (+62.2% in the paper) — the RDMA co-design is necessary.
 """
 
-from repro.analysis.report import Table
-from repro.bench.figures_platform import fig15_factor_analysis
-
-from .conftest import run_once
+from .conftest import run_row
 
 
 def test_fig15(benchmark):
-    results = run_once(benchmark, fig15_factor_analysis)
-
-    table = Table("Fig 15: factor analysis (PCA -> train state)",
-                  ["variant", "setup_ms", "read_ms", "compute_ms",
-                   "e2e_ms"])
-    for name, d in results.items():
-        table.add_row(name, d["setup_ms"], d["read_ms"], d["compute_ms"],
-                      d["e2e_ms"])
-    table.print()
+    results = run_row(benchmark, "fig15")
 
     local = results["local (optimal)"]["e2e_ms"]
     prefetch = results["rmmap-prefetch"]["e2e_ms"]

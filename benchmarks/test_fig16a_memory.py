@@ -10,21 +10,11 @@ Paper claims reproduced:
   paper).
 """
 
-from repro.analysis.report import Table
-from repro.bench.figures_platform import fig16a_memory
-
-from .conftest import run_once
+from .conftest import run_row
 
 
 def test_fig16a(benchmark):
-    results = run_once(benchmark, fig16a_memory)
-
-    table = Table("Fig 16a: peak memory (MB) vs list(int) entries",
-                  ["entries", "optimal", "rmmap", "messaging", "storage"])
-    for count, d in sorted(results.items()):
-        table.add_row(count, d["optimal"], d["rmmap"], d["messaging"],
-                      d["storage"])
-    table.print()
+    results = run_row(benchmark, "fig16a")
 
     for count, d in results.items():
         # producer-side peak: RMMAP adds little over the optimum

@@ -5,22 +5,11 @@ because Naos still traverses the object graph and rewrites every pointer
 on both sides, while RMMAP ships none of the objects eagerly.
 """
 
-from repro.analysis.report import Table, format_ns
-from repro.bench.figures_micro import fig16b_naos
-
-from .conftest import run_once
+from .conftest import run_row
 
 
 def test_fig16b(benchmark):
-    results = run_once(benchmark, fig16b_naos)
-
-    table = Table("Fig 16b: RMMAP vs Naos, (Integer, char[5]) map",
-                  ["pairs", "naos", "rmmap", "rmmap faster by"])
-    for count, d in sorted(results.items()):
-        faster = 1.0 - d["rmmap"] / d["naos"]
-        table.add_row(count, format_ns(d["naos"]), format_ns(d["rmmap"]),
-                      f"{faster:.0%}")
-    table.print()
+    results = run_row(benchmark, "fig16b")
 
     for count, d in results.items():
         faster = 1.0 - d["rmmap"] / d["naos"]

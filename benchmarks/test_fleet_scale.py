@@ -1,9 +1,10 @@
 """Fleet scale: 10^5+ invocations across sharded multi-tenant coordinators.
 
 The tentpole claim: the fleet layer sustains hundreds of thousands of
-simulated invocations in minutes of host wall time, stays byte-identical
-at a fixed seed, and reports per-tenant tail latency and availability
-that reflect each tenant's traffic shape and transport.
+simulated invocations, stays byte-identical at a fixed seed, and reports
+per-tenant tail latency and availability that reflect each tenant's
+traffic shape and transport.  How fast the host gets through them is
+for perfbench's ``fleet-open`` workload to judge, not this file.
 """
 
 import json
@@ -16,13 +17,6 @@ from .conftest import run_once
 TARGET_INVOCATIONS = 100_000
 N_TENANTS = 8
 N_SHARDS = 4
-
-#: Host wall-clock floor on engine throughput.  The bucketed scheduler
-#: sustains ~10× this on the reference container; the floor is set with
-#: generous headroom so only a hot-path collapse (not a slow runner)
-#: trips it.  CI holds the same floor in the perf-smoke job.
-EVENTS_PER_SEC_FLOOR = 2_650
-
 
 def make_spec(seed=0):
     tenants = default_tenants(N_TENANTS, base_rate_rps=100.0)
@@ -55,10 +49,6 @@ def test_fleet_sustains_1e5_invocations(benchmark):
     assert result.totals["arrivals"] >= TARGET_INVOCATIONS
     assert len(result.tenants) == N_TENANTS
     assert len(result.shards) == N_SHARDS
-    # the run must finish in minutes, not hours, of host time — and the
-    # engine must sustain the wall-clock throughput floor
-    assert result.wall["elapsed_s"] < 600
-    assert result.wall["events_per_sec"] >= EVENTS_PER_SEC_FLOOR
 
     for entry in result.tenants:
         assert entry["completed"] > 0

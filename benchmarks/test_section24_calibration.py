@@ -8,22 +8,11 @@ Paper quotes reproduced on our substrate:
 * a 4 MB single-thread copy takes ~2.5 ms (1.6 GB/s).
 """
 
-from repro.analysis.report import Table
-from repro.bench.figures_micro import section24_calibration
-
-from .conftest import run_once
+from .conftest import run_row
 
 
 def test_section24(benchmark):
-    result = run_once(benchmark, section24_calibration)
-
-    table = Table("Section 2.4 calibration", ["metric", "value"])
-    table.add_row("sub-objects", result["sub_objects"])
-    table.add_row("state bytes", result["state_bytes"])
-    table.add_row("serialize (ms)", result["serialize_ms"])
-    table.add_row("deserialize (ms)", result["deserialize_ms"])
-    table.add_row("copy 4 MB (ms)", result["copy_4mb_ms"])
-    table.print()
+    result = run_row(benchmark, "calibration")
 
     # hundreds of thousands of sub-objects, like the paper's dataframe
     assert result["sub_objects"] > 200_000

@@ -1,38 +1,33 @@
 #!/usr/bin/env python3
 """Throughput and resource usage under load (the Fig 12 experiment).
 
-Drives the ML-prediction workflow with an open-loop client at a fixed
-request rate under three transports, and reports sustained throughput,
-mean busy pods, and tail latency: everyone absorbs the offered load, but
-RMMAP does it with fewer pods and much lower p99.
+Runs the ``fig12`` row of the experiment table — the ML-prediction
+workflow under three transports, first with closed-loop clients
+saturating the cluster, then with an open-loop client at a fixed request
+rate — prints the row's tables, and charts the fixed-rate half: everyone
+absorbs the offered load, but RMMAP does it with fewer pods and much
+lower p99.
 
 Run:  python examples/autoscale_throughput.py
 """
 
-from repro.analysis.report import Table, ascii_bar_chart
-from repro.bench.figures_platform import fig12_fixed_rate
+from repro.analysis.report import ascii_bar_chart
+from repro.bench.experiments import EXPERIMENTS
 
 
 def main() -> None:
-    results = fig12_fixed_rate(rate_per_s=12.0, duration_s=1.5,
-                               n_machines=4, containers_per_machine=8,
-                               predict_width=4, n_images=96)
+    fig12 = EXPERIMENTS["fig12"]
+    results = fig12.run()
+    fig12.show(results)
 
-    table = Table("ML prediction @ fixed 12 req/s",
-                  ["transport", "tput/s", "mean-pods", "p50_ms",
-                   "p99_ms"])
-    for tname, d in results.items():
-        table.add_row(tname, d["throughput_per_s"], d["mean_pods"],
-                      d["stats"].p50_ms, d["stats"].p99_ms)
-    table.print()
-
+    fixed = results["fixed"]
     print(ascii_bar_chart(
         "mean busy pods (same offered load)",
-        list(results), [d["mean_pods"] for d in results.values()]))
+        list(fixed), [d["mean_pods"] for d in fixed.values()]))
     print()
     print(ascii_bar_chart(
-        "p99 latency", list(results),
-        [d["stats"].p99_ms for d in results.values()], unit=" ms"))
+        "p99 latency", list(fixed),
+        [d["stats"].p99_ms for d in fixed.values()], unit=" ms"))
 
 
 if __name__ == "__main__":

@@ -19,10 +19,13 @@ def format_ns(t_ns: float) -> str:
 class Table:
     """A fixed-width text table printed by the benchmark harnesses."""
 
-    def __init__(self, title: str, columns: Sequence[str]):
+    def __init__(self, title: str, columns: Sequence[str],
+                 rows: Iterable[Sequence[Cell]] = ()):
         self.title = title
         self.columns = list(columns)
         self.rows: List[List[str]] = []
+        for row in rows:
+            self.add_row(*row)
 
     def add_row(self, *cells: Cell) -> None:
         if len(cells) != len(self.columns):

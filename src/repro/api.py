@@ -14,15 +14,6 @@ record.  :func:`run` is that dance behind one signature, with telemetry
 >>> sorted(result.telemetry.layers())
 ['kernel', 'mem', 'net.rdma', 'net.rpc', 'platform', 'sim.engine']
 
-A :class:`RunConfig` names the same knobs as one frozen, reusable value
-accepted by all three facades — :func:`run`, :func:`run_fleet` and
-:func:`repro.chaos.runner.run_chaos_workflow`:
-
->>> cfg = RunConfig(workload="wordcount", transport="rmmap-prefetch",
-...                 scale=0.05, telemetry=True)
->>> run(cfg).latency_ms
-13.5...
-
 The non-chaos path reproduces the bench harness
 (:func:`repro.bench.figures_workflow.run_workflow_once`) exactly at
 ``seed=0``: same platform shape, same pre-warm, same ledger charges — so
@@ -49,52 +40,6 @@ def workloads() -> list:
     return sorted(workflow_configs(1.0))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One frozen description of a run, shared by every façade.
-
-    :func:`run` consumes the single-invocation knobs,
-    :func:`repro.chaos.runner.run_chaos_workflow` the chaos ones, and
-    :func:`run_fleet` the fleet ones — so one config value can drive a
-    plain run, its chaos drill, and the fleet campaign around it.
-    Derive variants with :meth:`replace` (hashable, reusable, safe to
-    share across threads and sweeps).
-    """
-
-    workload: str = "wordcount"
-    transport: Union[str, StateTransport] = "rmmap"
-    seed: int = 0
-    scale: Optional[float] = None
-    #: kwargs for :func:`repro.chaos.runner.run_chaos_workflow`
-    #: (``requests``, ``schedule``, ``policy``...); non-None selects the
-    #: chaos path exactly like ``run(..., chaos={...})``
-    chaos: Optional[Dict[str, Any]] = None
-    telemetry: Union[None, bool, "obs.Telemetry"] = None
-    monitor: Union[None, bool, "obs.FleetMonitor"] = None
-    #: collect the causal span profile (implies a telemetry hub)
-    profile: bool = False
-    #: track page-provenance lineage (implies a telemetry hub); the
-    #: report comes back via ``RunResult.lineage()``
-    lineage: bool = False
-    params: Optional[Dict[str, Any]] = None
-    n_machines: int = 10
-    prewarm: bool = True
-    transport_opts: Optional[Dict[str, Any]] = None
-    # -- fleet knobs (run_fleet) ------------------------------------------
-    tenants: Optional[Tuple] = None
-    n_shards: int = 4
-    duration_s: float = 10.0
-    smoke: bool = False
-    #: scale-up mechanism for fleet shards: ``"cold"``, ``"prewarm"`` or
-    #: ``"fork"`` (see :mod:`repro.fork`)
-    scale_up: str = "cold"
-
-    def replace(self, **changes) -> "RunConfig":
-        """A copy with *changes* applied (frozen dataclasses are
-        immutable)."""
-        return dataclasses.replace(self, **changes)
-
-
 class BaseRunResult:
     """Shared result surface of :class:`RunResult` and
     :class:`~repro.fleet.runner.FleetResult`.
@@ -108,12 +53,11 @@ class BaseRunResult:
     #: subclasses store their hub here (None when telemetry was off)
     telemetry: Optional["obs.Telemetry"]
 
-    def to_dict(self, **kwargs) -> Dict[str, Any]:
+    def to_dict(self) -> Dict[str, Any]:
         raise NotImplementedError
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(**kwargs), sort_keys=True,
-                          indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def _require_telemetry(self) -> "obs.Telemetry":
         if self.telemetry is None:
@@ -292,7 +236,7 @@ def _resolve_monitor(monitor) -> Optional["obs.FleetMonitor"]:
     return monitor
 
 
-def run(workload: Union[str, RunConfig],
+def run(workload: str,
         *, transport: Union[str, StateTransport] = "rmmap",
         seed: int = 0, scale: Optional[float] = None,
         chaos: Optional[Dict[str, Any]] = None,
@@ -305,8 +249,7 @@ def run(workload: Union[str, RunConfig],
     """Run one workflow invocation end to end and return the results.
 
     *workload* is a name from :func:`workloads` (``finra``,
-    ``ml-training``, ``ml-prediction``, ``wordcount``) — or a
-    :class:`RunConfig` carrying every knob at once.  *transport* is a
+    ``ml-training``, ``ml-prediction``, ``wordcount``).  *transport* is a
     registry name (see :func:`repro.transfer.list_transports`) or a
     ready-made :class:`StateTransport`; it is keyword-only.
     *scale* shrinks the paper-scale inputs (default: the
@@ -344,21 +287,6 @@ def run(workload: Union[str, RunConfig],
     from repro.bench.figures_workflow import (_light_params,
                                               workflow_configs)
 
-    if isinstance(workload, RunConfig):
-        cfg = workload
-        workload = cfg.workload
-        transport = cfg.transport
-        seed = cfg.seed
-        scale = cfg.scale
-        chaos = cfg.chaos
-        telemetry = cfg.telemetry
-        monitor = cfg.monitor
-        profile = cfg.profile
-        lineage = cfg.lineage
-        params = cfg.params
-        n_machines = cfg.n_machines
-        prewarm = cfg.prewarm
-        transport_opts = cfg.transport_opts
     if (profile or lineage) and (telemetry is None or telemetry is False):
         telemetry = True
 
@@ -429,9 +357,9 @@ def run_fleet(spec=None, *, seed: int = 0, tenants=None,
     """Run a multi-tenant fleet simulation and return a
     :class:`~repro.fleet.runner.FleetResult`.
 
-    Either pass a ready-made :class:`~repro.fleet.runner.FleetSpec` (or
-    a :class:`RunConfig` — its fleet knobs apply) as *spec*, or let this
-    façade assemble one: ``smoke=True`` gives the small CI configuration
+    Either pass a ready-made :class:`~repro.fleet.runner.FleetSpec` as
+    *spec*, or let this façade assemble one: ``smoke=True`` gives the
+    small CI configuration
     (:func:`~repro.fleet.runner.smoke_spec`); otherwise *tenants*
     (default: :func:`~repro.fleet.traffic.default_tenants` of eight),
     *n_shards*, *duration_s* and any other :class:`FleetSpec` field via
@@ -442,21 +370,6 @@ def run_fleet(spec=None, *, seed: int = 0, tenants=None,
     from repro.fleet import (FleetSpec, default_tenants,
                              run_fleet as _run_fleet, smoke_spec)
 
-    if isinstance(spec, RunConfig):
-        cfg = spec
-        if tenants is not None or kwargs or smoke or scale_up:
-            raise ValueError("pass either a RunConfig or assembly "
-                             "kwargs, not both")
-        seed = cfg.seed
-        tenants = list(cfg.tenants) if cfg.tenants is not None else None
-        n_shards = cfg.n_shards
-        duration_s = cfg.duration_s
-        smoke = cfg.smoke
-        scale_up = cfg.scale_up
-        telemetry = cfg.telemetry
-        monitor = cfg.monitor
-        lineage = cfg.lineage
-        spec = None
     if spec is None:
         if scale_up is not None:
             from repro.fork import ScaleUpConfig

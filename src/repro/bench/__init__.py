@@ -1,6 +1,8 @@
-"""Benchmark harnesses shared by ``benchmarks/`` and ``examples/``.
+"""Benchmark harnesses shared by the CLI, ``benchmarks/`` and ``examples/``.
 
-One experiment function per paper figure lives in:
+:mod:`repro.bench.experiments` holds the one table of CLI experiments
+(:data:`~repro.bench.experiments.EXPERIMENTS`: name, description, run,
+tables).  The figure functions its rows run live in:
 
 * :mod:`repro.bench.figures_micro` — Fig 11a/11b/16b, Section 2.4;
 * :mod:`repro.bench.figures_workflow` — Fig 3/5/13/14;
@@ -14,34 +16,3 @@ Benchmark persistence lives next to the harnesses:
 * :mod:`repro.bench.regression` — tolerance-band comparator that fails
   CI when a candidate snapshot regresses the committed baseline.
 """
-
-from repro.bench.config import bench_scale, scaled
-from repro.bench.microbench import (MicrobenchResult, make_pair,
-                                    measure_transfer, standard_transports)
-from repro.bench.regression import (DEFAULT_TOLERANCE, RegressionReport,
-                                    check_paths, compare)
-from repro.bench.snapshot import (DEFAULT_SCALE, DEFAULT_SEED,
-                                  SCHEMA_VERSION, collect, load_snapshot,
-                                  next_snapshot_path, snapshot_paths,
-                                  write_snapshot)
-
-__all__ = [
-    "MicrobenchResult",
-    "make_pair",
-    "measure_transfer",
-    "standard_transports",
-    "bench_scale",
-    "scaled",
-    "SCHEMA_VERSION",
-    "DEFAULT_SEED",
-    "DEFAULT_SCALE",
-    "DEFAULT_TOLERANCE",
-    "collect",
-    "write_snapshot",
-    "load_snapshot",
-    "snapshot_paths",
-    "next_snapshot_path",
-    "compare",
-    "check_paths",
-    "RegressionReport",
-]

@@ -16,7 +16,7 @@ from repro.kernel.kernel import MAP_HEAP_ONLY, MAP_WHOLE_SPACE
 from repro.mem.layout import AddressRange
 from repro.platform.dag import FunctionSpec, Workflow
 from repro.platform.planner import plan_dynamic, plan_workflow
-from repro.transfer import RmmapTransport
+from repro.transfer import get_transport
 from repro.units import MB, to_ms
 
 
@@ -74,7 +74,6 @@ def ablation_rmap_conflict_demo() -> str:
     try:
         consumer.kernel.rmap(consumer.space, meta.mac_addr, "f", 1)
     except RmapFailed as err:
-        del root
         return f"fallback-to-messaging: {err}"
     return "no-conflict"
 
@@ -110,7 +109,7 @@ def ablation_registration_mode(n_entries: Optional[int] = None
             out["heap-only"] = {"transform_ms": to_ms(transform),
                                 "network_ms": to_ms(network)}
         else:
-            result = measure_transfer(RmmapTransport(prefetch=False),
+            result = measure_transfer(get_transport("rmmap"),
                                       producer, consumer, value)
             out["whole-space"] = {
                 "transform_ms": to_ms(result.breakdown.transform_ns),
@@ -154,16 +153,14 @@ def ablation_compression(n_words: Optional[int] = None
     """Compressed vs plain messaging (Section 6's data-compression
     discussion): compression shrinks wire bytes but spends critical-path
     CPU — a poor trade on a fast fabric."""
-    from repro.transfer import (CompressedMessagingTransport,
-                                MessagingTransport)
-
     n_words = n_words or scaled(200_000, minimum=10_000)
     value = " ".join(f"word{i % 97}" for i in range(n_words))
     out: Dict[str, Dict[str, float]] = {}
-    for name, factory in (("plain", MessagingTransport),
-                          ("compressed", CompressedMessagingTransport)):
+    for name, tname in (("plain", "messaging"),
+                        ("compressed", "messaging-compressed")):
         _e, producer, consumer = make_pair()
-        result = measure_transfer(factory(), producer, consumer, value)
+        result = measure_transfer(get_transport(tname), producer, consumer,
+                                  value)
         out[name] = {
             "e2e_ms": to_ms(result.e2e_ns),
             "wire_kb": result.wire_bytes / 1024,
@@ -210,13 +207,13 @@ def ablation_prefetch_threshold(
     out: Dict[str, float] = {}
     for threshold in thresholds:
         _e, producer, consumer = make_pair(resident_lib_bytes=8 * MB)
-        transport = RmmapTransport(prefetch=True,
-                                   prefetch_threshold=threshold)
+        transport = get_transport("rmmap-prefetch",
+                                  prefetch_threshold=threshold)
         result = measure_transfer(transport, producer, consumer, value)
         label = "unbounded" if threshold is None else str(threshold)
         out[label] = to_ms(result.e2e_ns)
     _e, producer, consumer = make_pair(resident_lib_bytes=8 * MB)
-    demand = measure_transfer(RmmapTransport(prefetch=False), producer,
-                              consumer, value)
+    demand = measure_transfer(get_transport("rmmap"), producer, consumer,
+                              value)
     out["no-prefetch"] = to_ms(demand.e2e_ns)
     return out

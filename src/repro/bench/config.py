@@ -1,4 +1,4 @@
-"""Benchmark scaling knobs.
+"""Benchmark knobs read from the environment: input scale, chaos seed.
 
 Experiments default to scaled-down inputs so the whole harness finishes in
 minutes on a laptop; set ``REPRO_BENCH_SCALE=1.0`` (or higher) to approach
@@ -15,6 +15,7 @@ default scale).
 from __future__ import annotations
 
 import os
+import sys
 import warnings
 from typing import Optional
 
@@ -60,3 +61,14 @@ def scaled(n: int, scale: Optional[float] = None, minimum: int = 1) -> int:
         raise ValueError(f"scale must be positive, got {scale}")
     factor = bench_scale() if scale is None else scale
     return max(minimum, int(n * factor))
+
+
+def chaos_seed() -> int:
+    """The chaos experiments' seed from ``REPRO_CHAOS_SEED`` (default 0);
+    a non-integer value ends the program with a one-line error."""
+    raw = os.environ.get("REPRO_CHAOS_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        sys.exit(f"repro: REPRO_CHAOS_SEED must be an integer, "
+                 f"got {raw!r}")

@@ -11,10 +11,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.bench.config import bench_scale, scaled
-from repro.bench.microbench import (MicrobenchResult, make_pair,
-                                    measure_transfer, standard_transports)
+from repro.bench.microbench import (STANDARD_TRANSPORTS, MicrobenchResult,
+                                    make_pair, measure_each)
 from repro.runtime.values import ImageValue, NdArrayValue
-from repro.transfer import NaosTransport, RmmapTransport
 from repro.units import KB, MB
 from repro.workloads.data import make_book_text, make_trades
 
@@ -86,18 +85,14 @@ def fig11a_values(scale: Optional[float] = None) -> Dict[str, object]:
 def fig11a_datatypes(scale: Optional[float] = None
                      ) -> Dict[str, Dict[str, MicrobenchResult]]:
     """T/N/R breakdown for every (data type, transport) pair."""
-    values = fig11a_values(scale)
-    factories = standard_transports()
-    out: Dict[str, Dict[str, MicrobenchResult]] = {}
-    for type_name, value in values.items():
-        lib = _TYPE_LIBS[type_name]
-        row = {}
-        for tname, factory in factories.items():
-            _e, producer, consumer = make_pair(resident_lib_bytes=lib)
-            row[tname] = measure_transfer(factory(), producer, consumer,
-                                          value)
-        out[type_name] = row
-    return out
+    return {type_name: measure_each(
+                STANDARD_TRANSPORTS, value,
+                resident_lib_bytes=_TYPE_LIBS[type_name])
+            for type_name, value in fig11a_values(scale).items()}
+
+
+def _e2e_ns(row: Dict[str, MicrobenchResult]) -> Dict[str, int]:
+    return {tname: result.e2e_ns for tname, result in row.items()}
 
 
 def fig11b_payload_sweep(entry_counts: Optional[List[int]] = None
@@ -116,17 +111,10 @@ def fig11b_payload_sweep(entry_counts: Optional[List[int]] = None
             n *= 8
         if entry_counts[-1] != top:
             entry_counts.append(top)
-    factories = standard_transports()
-    out: Dict[int, Dict[str, int]] = {}
-    for count in entry_counts:
-        value = list(range(count))
-        row = {}
-        for tname, factory in factories.items():
-            _e, producer, consumer = make_pair(resident_lib_bytes=2 * MB)
-            row[tname] = measure_transfer(factory(), producer, consumer,
-                                          value).e2e_ns
-        out[count] = row
-    return out
+    return {count: _e2e_ns(measure_each(STANDARD_TRANSPORTS,
+                                        list(range(count)),
+                                        resident_lib_bytes=2 * MB))
+            for count in entry_counts}
 
 
 def fig16b_naos(pair_counts: Optional[List[int]] = None
@@ -135,18 +123,10 @@ def fig16b_naos(pair_counts: Optional[List[int]] = None
     if pair_counts is None:
         pair_counts = [scaled(n, minimum=4_000)
                        for n in (40_000, 160_000, 640_000)]
-    out: Dict[int, Dict[str, int]] = {}
-    for count in pair_counts:
-        value = {i: "v" * 5 for i in range(count)}
-        row = {}
-        for tname, factory in (
-                ("naos", NaosTransport),
-                ("rmmap", lambda: RmmapTransport(prefetch=False))):
-            _e, producer, consumer = make_pair(resident_lib_bytes=8 * MB)
-            row[tname] = measure_transfer(factory(), producer, consumer,
-                                          value).e2e_ns
-        out[count] = row
-    return out
+    return {count: _e2e_ns(measure_each(("naos", "rmmap"),
+                                        {i: "v" * 5 for i in range(count)},
+                                        resident_lib_bytes=8 * MB))
+            for count in pair_counts}
 
 
 def section24_calibration() -> Dict[str, float]:

@@ -14,25 +14,24 @@ from repro.bench.microbench import make_pair, measure_transfer
 from repro.kernel.remote_pager import FETCH_RPC
 from repro.platform.cluster import ServerlessPlatform
 from repro.runtime.values import NdArrayValue
-from repro.transfer import (MessagingTransport, RmmapTransport,
-                            StorageRdmaTransport, StorageTransport)
+from repro.transfer import get_transport
 from repro.units import MB, to_ms
 from repro.workloads.ml_prediction import build_ml_prediction
 
-#: the transports Fig 12 compares
-FIG12_TRANSPORTS = {
-    "messaging": MessagingTransport,
-    "storage-rdma": StorageRdmaTransport,
-    "rmmap": RmmapTransport,
-}
+#: the transports Fig 12 compares, figure label → registry name (the
+#: figure's "rmmap" is the full system, prefetch on)
+FIG12_TRANSPORTS = {"messaging": "messaging",
+                    "storage-rdma": "storage-rdma",
+                    "rmmap": "rmmap-prefetch"}
 
 
-def _prediction_platform(factory, predict_width: int, n_machines: int,
+def _prediction_platform(transport: str, predict_width: int, n_machines: int,
                          containers_per_machine: int, params: dict):
     platform = ServerlessPlatform(
         n_machines=n_machines,
         containers_per_machine=containers_per_machine)
-    platform.deploy(build_ml_prediction(width=predict_width), factory())
+    platform.deploy(build_ml_prediction(width=predict_width),
+                    get_transport(transport))
     platform.prewarm("ml-prediction",
                      dict(params, n_images=4 * predict_width))
     return platform
@@ -50,8 +49,8 @@ def fig12_saturated(n_machines: int = 4, containers_per_machine: int = 8,
     params = {"n_images": n_images, "predict_width": predict_width,
               "n_trees": 16}
     out: Dict[str, Dict] = {}
-    for tname, factory in FIG12_TRANSPORTS.items():
-        platform = _prediction_platform(factory, predict_width,
+    for tname, transport in FIG12_TRANSPORTS.items():
+        platform = _prediction_platform(transport, predict_width,
                                         n_machines, containers_per_machine,
                                         params)
         records = platform.run_closed_loop(
@@ -83,8 +82,8 @@ def fig12_fixed_rate(rate_per_s: float = 4.0, duration_s: float = 3.0,
     params = {"n_images": n_images, "predict_width": predict_width,
               "n_trees": 16}
     out: Dict[str, Dict] = {}
-    for tname, factory in FIG12_TRANSPORTS.items():
-        platform = _prediction_platform(factory, predict_width,
+    for tname, transport in FIG12_TRANSPORTS.items():
+        platform = _prediction_platform(transport, predict_width,
                                         n_machines, containers_per_machine,
                                         params)
         records = platform.run_open_loop(
@@ -165,9 +164,9 @@ def fig15_factor_analysis(feature_mb: Optional[float] = None
     }
 
     variants = {
-        "rmmap-prefetch": RmmapTransport(prefetch=True),
-        "rmmap": RmmapTransport(prefetch=False),
-        "rmmap-rpc": RmmapTransport(prefetch=False, fetch_mode=FETCH_RPC),
+        "rmmap-prefetch": get_transport("rmmap-prefetch"),
+        "rmmap": get_transport("rmmap"),
+        "rmmap-rpc": get_transport("rmmap", fetch_mode=FETCH_RPC),
     }
     for name, transport in variants.items():
         _e, producer, consumer = make_pair(resident_lib_bytes=96 * MB)
@@ -207,13 +206,12 @@ def fig16a_memory(entry_counts: Optional[List[int]] = None
         optimal = producer.machine.physical.peak_bytes
         row["optimal"] = optimal / MB
 
-        for tname, factory in (
-                ("messaging", MessagingTransport),
-                ("storage", StorageTransport),
-                ("rmmap", lambda: RmmapTransport(prefetch=True))):
+        for tname, transport in (("messaging", "messaging"),
+                                 ("storage", "storage"),
+                                 ("rmmap", "rmmap-prefetch")):
             _e, producer, consumer = make_pair(resident_lib_bytes=8 * MB)
-            transport = factory()
-            result = measure_transfer(transport, producer, consumer, value)
+            result = measure_transfer(get_transport(transport), producer,
+                                      consumer, value)
             sim_peak = producer.machine.physical.peak_bytes
             # serialized byte buffers live outside the heaps; account them
             buffer_bytes = 0

@@ -7,15 +7,13 @@ state-transfer shares.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.config import bench_scale, scaled
+from repro.bench.microbench import STANDARD_TRANSPORTS
 from repro.platform.cluster import ServerlessPlatform
 from repro.platform.dag import Workflow
-from repro.transfer import (MessagingTransport, RmmapTransport,
-                            StateTransport, StorageRdmaTransport,
-                            StorageTransport, get_transport)
+from repro.transfer import StateTransport, get_transport
 from repro.workloads.finra import build_finra
 from repro.workloads.ml_prediction import build_ml_prediction
 from repro.workloads.ml_training import build_ml_training
@@ -60,13 +58,6 @@ def workflow_configs(scale: Optional[float] = None
     }
 
 
-def transport_factories() -> Dict[str, Callable[[], StateTransport]]:
-    """Fig 14's transport column, resolved through the registry."""
-    return {name: partial(get_transport, name)
-            for name in ("messaging", "storage", "storage-rdma",
-                         "rmmap", "rmmap-prefetch")}
-
-
 def _light_params(params: dict) -> dict:
     """Shrink payload knobs for the pre-warming run (same widths, so the
     same containers get warmed, but far less host CPU)."""
@@ -84,15 +75,21 @@ def _light_params(params: dict) -> dict:
 
 
 def run_workflow_once(builder: Callable[[], Workflow], params: dict,
-                      transport: StateTransport,
-                      n_machines: int = 10, prewarm: bool = True):
-    """Deploy, optionally pre-warm, run one invocation, return its record."""
-    platform = ServerlessPlatform(n_machines=n_machines)
+                      transport: StateTransport):
+    """Deploy, pre-warm, run one invocation, return its record."""
+    platform = ServerlessPlatform(n_machines=10)
     workflow = builder()
     platform.deploy(workflow, transport)
-    if prewarm:
-        platform.prewarm(workflow.name, _light_params(params))
+    platform.prewarm(workflow.name, _light_params(params))
     return platform.run_once(workflow.name, params)
+
+
+def _latency_ms(builder: Callable[[], Workflow], params: dict,
+                transports) -> Dict[str, float]:
+    """E2E latency (ms) of one invocation under each named transport."""
+    return {tname: run_workflow_once(builder, params,
+                                     get_transport(tname)).latency_ns / 1e6
+            for tname in transports}
 
 
 # --- Fig 3 / Fig 5: state-transfer cost shares --------------------------------------
@@ -107,15 +104,13 @@ def fig3_transfer_share(scale: Optional[float] = None,
     storage reads/writes) and only (de)serialization remains.
     """
     configs = workflow_configs(scale)
-    transports = {
-        "messaging": lambda: MessagingTransport(null_network=null_network),
-        "storage": lambda: StorageTransport(null_network=null_network),
-    }
     out: Dict[str, Dict[str, Dict[str, float]]] = {}
     for wf_name, (builder, params) in configs.items():
         row = {}
-        for tname, factory in transports.items():
-            record = run_workflow_once(builder, params, factory())
+        for tname in ("messaging", "storage"):
+            record = run_workflow_once(
+                builder, params,
+                get_transport(tname, null_network=null_network))
             cp = record.critical_path_totals()
             serdes = cp["transform"] + cp["reconstruct"]
             software = cp["network"]
@@ -142,44 +137,38 @@ def fig5_serialization_share(scale: Optional[float] = None):
 
 # --- Fig 14: end-to-end latency across all transports -------------------------------
 
-def fig14_end_to_end(scale: Optional[float] = None,
-                     workflows: Optional[List[str]] = None
+def fig14_end_to_end(scale: Optional[float] = None
                      ) -> Dict[str, Dict[str, float]]:
     """Mean E2E latency (ms) of every workflow under every transport."""
-    configs = workflow_configs(scale)
-    if workflows is not None:
-        configs = {k: v for k, v in configs.items() if k in workflows}
-    out: Dict[str, Dict[str, float]] = {}
-    for wf_name, (builder, params) in configs.items():
-        row = {}
-        for tname, factory in transport_factories().items():
-            record = run_workflow_once(builder, params, factory())
-            row[tname] = record.latency_ns / 1e6
-        out[wf_name] = row
-    return out
+    return {wf_name: _latency_ms(builder, params, STANDARD_TRANSPORTS)
+            for wf_name, (builder, params)
+            in workflow_configs(scale).items()}
 
 
 # --- Fig 13: sensitivity analyses ------------------------------------------------------
+
+def _rdma_vs_rmmap(builder: Callable[[], Workflow],
+                   params: dict) -> Dict[str, float]:
+    """One Fig 13a-c point: E2E latency (ms) under storage (RDMA) and
+    under RMMAP (the full system, prefetch on), and RMMAP's relative
+    improvement."""
+    ms = _latency_ms(builder, params, ("storage-rdma", "rmmap-prefetch"))
+    rdma, rmmap = ms["storage-rdma"], ms["rmmap-prefetch"]
+    return {"storage-rdma": rdma, "rmmap": rmmap,
+            "improvement": 1.0 - rmmap / rdma}
+
 
 def fig13a_epochs(epochs_list: Optional[List[int]] = None,
                   scale: Optional[float] = None
                   ) -> Dict[int, Dict[str, float]]:
     """ML-training latency vs epochs: longer functions amortize
     (de)serialization, shrinking RMMAP's edge (23.9% -> 8% in the paper)."""
-    epochs_list = epochs_list or [5, 10, 20, 30]
     s = bench_scale() if scale is None else scale
-    out: Dict[int, Dict[str, float]] = {}
-    for epochs in epochs_list:
-        params = {"n_images": scaled(10_000, s, minimum=8_000),
-                  "epochs": epochs, "n_trees": 32}
-        row = {}
-        for tname, factory in (("storage-rdma", StorageRdmaTransport),
-                               ("rmmap", RmmapTransport)):
-            record = run_workflow_once(build_ml_training, params, factory())
-            row[tname] = record.latency_ns / 1e6
-        row["improvement"] = 1.0 - row["rmmap"] / row["storage-rdma"]
-        out[epochs] = row
-    return out
+    n_images = scaled(10_000, s, minimum=8_000)
+    return {epochs: _rdma_vs_rmmap(
+                build_ml_training,
+                {"n_images": n_images, "epochs": epochs, "n_trees": 32})
+            for epochs in epochs_list or [5, 10, 20, 30]}
 
 
 def fig13b_payload(image_counts: Optional[List[int]] = None
@@ -189,37 +178,21 @@ def fig13b_payload(image_counts: Optional[List[int]] = None
     function execution)."""
     image_counts = image_counts or [scaled(n, minimum=2_000)
                                     for n in (10_000, 20_000, 40_000)]
-    out: Dict[int, Dict[str, float]] = {}
-    for n_images in image_counts:
-        params = {"n_images": n_images, "epochs": 10, "n_trees": 32}
-        row = {}
-        for tname, factory in (("storage-rdma", StorageRdmaTransport),
-                               ("rmmap", RmmapTransport)):
-            record = run_workflow_once(build_ml_training, params, factory())
-            row[tname] = record.latency_ns / 1e6
-        row["improvement"] = 1.0 - row["rmmap"] / row["storage-rdma"]
-        out[n_images] = row
-    return out
+    return {n_images: _rdma_vs_rmmap(
+                build_ml_training,
+                {"n_images": n_images, "epochs": 10, "n_trees": 32})
+            for n_images in image_counts}
 
 
 def fig13c_width(widths: Optional[List[int]] = None
                  ) -> Dict[int, Dict[str, float]]:
     """ML-prediction latency vs workflow width (parallel predictors)."""
-    widths = widths or [4, 8, 16]
-    out: Dict[int, Dict[str, float]] = {}
-    for width in widths:
-        params = {"n_images": scaled(1_280, minimum=128),
-                  "predict_width": width, "n_trees": 32}
-        row = {}
-        for tname, factory in (("storage-rdma", StorageRdmaTransport),
-                               ("rmmap", RmmapTransport)):
-            record = run_workflow_once(
-                lambda: build_ml_prediction(width=width), params,
-                factory())
-            row[tname] = record.latency_ns / 1e6
-        row["improvement"] = 1.0 - row["rmmap"] / row["storage-rdma"]
-        out[width] = row
-    return out
+    n_images = scaled(1_280, minimum=128)
+    return {width: _rdma_vs_rmmap(
+                lambda: build_ml_prediction(width=width),
+                {"n_images": n_images, "predict_width": width,
+                 "n_trees": 32})
+            for width in widths or [4, 8, 16]}
 
 
 def fig13d_java(scale: Optional[float] = None) -> Dict[str, float]:
@@ -227,10 +200,5 @@ def fig13d_java(scale: Optional[float] = None) -> Dict[str, float]:
     s = bench_scale() if scale is None else scale
     params = {"n_bytes": scaled(13 << 20, s, minimum=256 << 10),
               "map_width": 8}
-    out: Dict[str, float] = {}
-    for tname, factory in transport_factories().items():
-        record = run_workflow_once(
-            lambda: build_wordcount(width=8, runtime="java"), params,
-            factory())
-        out[tname] = record.latency_ns / 1e6
-    return out
+    return _latency_ms(lambda: build_wordcount(width=8, runtime="java"),
+                       params, STANDARD_TRANSPORTS)

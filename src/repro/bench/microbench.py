@@ -16,8 +16,7 @@ This is the Fig 11 measurement loop.  Stage attribution follows the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from repro.kernel.machine import make_cluster
 from repro.mem import AddressRange, AddressSpace, AnonymousVMA
@@ -99,32 +98,18 @@ def measure_transfer(transport: StateTransport, producer: Endpoint,
                             object_count=token.object_count, value=loaded)
 
 
-def standard_transports(prefetch_threshold: Optional[int] = None
-                        ) -> Dict[str, Callable[[], StateTransport]]:
-    """Factories for the five approaches compared throughout Section 5."""
-    return {
-        "messaging": partial(get_transport, "messaging"),
-        "storage": partial(get_transport, "storage"),
-        "storage-rdma": partial(get_transport, "storage-rdma"),
-        "rmmap": partial(get_transport, "rmmap"),
-        "rmmap-prefetch": partial(get_transport, "rmmap-prefetch",
-                                  prefetch_threshold=prefetch_threshold),
-    }
+#: The five approaches compared throughout Section 5, by registry name.
+STANDARD_TRANSPORTS = ("messaging", "storage", "storage-rdma", "rmmap",
+                       "rmmap-prefetch")
 
 
-def run_matrix(values: Dict[str, Any],
-               transports: Optional[List[str]] = None,
-               cost: CostModel = DEFAULT_COST_MODEL
-               ) -> Dict[str, Dict[str, MicrobenchResult]]:
-    """Measure every (value, transport) pair on fresh endpoint pairs."""
-    factories = standard_transports()
-    names = transports if transports is not None else list(factories)
-    out: Dict[str, Dict[str, MicrobenchResult]] = {}
-    for value_name, value in values.items():
-        row: Dict[str, MicrobenchResult] = {}
-        for tname in names:
-            _engine, producer, consumer = make_pair(cost=cost)
-            row[tname] = measure_transfer(factories[tname](), producer,
-                                          consumer, value)
-        out[value_name] = row
+def measure_each(transports: Sequence[str], value: Any,
+                 **pair_opts) -> Dict[str, MicrobenchResult]:
+    """Measure *value* over each named transport, every one on a fresh
+    endpoint pair built with *pair_opts* (see :func:`make_pair`)."""
+    out: Dict[str, MicrobenchResult] = {}
+    for name in transports:
+        _engine, producer, consumer = make_pair(**pair_opts)
+        out[name] = measure_transfer(get_transport(name), producer,
+                                     consumer, value)
     return out

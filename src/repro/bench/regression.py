@@ -14,13 +14,8 @@ tolerance band.  Metric *direction* comes from the name:
   count is a behavioural change someone should look at).
 
 Tolerances are relative; the default band can be overridden per metric
-prefix (longest prefix wins), e.g. ``{"derived.": 0.05}``.  Host
-wall-clock throughput (``wall.*_per_sec``, schema v4) is held too, but
-inside the deliberately generous :data:`WALL_TOLERANCE` band — the gate
-catches a hot-path collapse without tripping on runner jitter; the
-non-rate ``wall.`` leaves (elapsed seconds, raw counts) stay skipped.
-Snapshots taken at different seed/scale/schema are refused rather than
-compared.
+prefix (longest prefix wins), e.g. ``{"derived.": 0.05}``.  Snapshots
+taken at different seed/scale/schema are refused rather than compared.
 Improvements never fail the gate — they are reported so the baseline can
 be re-pinned.
 """
@@ -33,24 +28,9 @@ from typing import Any, Dict, List, Optional, Tuple
 #: Relative drift allowed per metric unless a prefix override matches.
 DEFAULT_TOLERANCE = 0.01
 
-#: Relative drift allowed on ``wall.`` throughput rates (schema v4).
-#: Host wall-clock varies with the machine and its load, so the band is
-#: deliberately generous: it only trips on a *collapse* — the kind an
-#: accidental O(n²) or a de-optimized hot path produces — not on runner
-#: jitter.  Override per prefix (e.g. ``{"wall.": 0.8}``) to loosen
-#: further on noisy fleets.
-WALL_TOLERANCE = 0.5
-
-#: Keys never compared (host-dependent or informational).
-#: ``schema_version`` is compatibility-checked up front in
-#: :func:`compare`, not drift-compared.  ``wall.`` leaves are *mostly*
-#: skipped too (elapsed seconds and raw counts are host/harness detail)
-#: — but the ``*_per_sec`` rates under it are compared, inside the
-#: :data:`WALL_TOLERANCE` band, so wall-clock regressions fail the gate.
+#: Keys never compared: the host stamp, and ``schema_version``, which
+#: :func:`compare` checks up front instead.
 SKIPPED_PREFIXES = ("environment.", "schema_version")
-
-_WALL_PREFIX = "wall."
-_WALL_RATE_SUFFIX = "_per_sec"
 
 _HIGHER_IS_WORSE = ("_ns", "_ms", ".latency", "latency_")
 _LOWER_IS_WORSE = ("speedup", "improvement", "throughput", "tput",
@@ -187,18 +167,7 @@ def compare(baseline: Dict[str, Any], candidate: Dict[str, Any],
     operating points (seed / scale / schema) — such numbers are not
     comparable and the gate refuses to guess.
     """
-    from repro.bench.snapshot import SUPPORTED_VERSIONS
-
-    versions = (baseline.get("schema_version"),
-                candidate.get("schema_version"))
-    if versions[0] != versions[1] and \
-            not all(v in SUPPORTED_VERSIONS for v in versions):
-        # v2 vs v3 is fine: v3 only adds the (skipped) ``wall`` section
-        raise ValueError(
-            f"snapshots disagree on schema_version: baseline "
-            f"{versions[0]!r} vs candidate {versions[1]!r}; re-run at "
-            f"the baseline's operating point")
-    for key in ("seed", "scale"):
+    for key in ("schema_version", "seed", "scale"):
         if baseline.get(key) != candidate.get(key):
             raise ValueError(
                 f"snapshots disagree on {key}: baseline "
@@ -212,10 +181,6 @@ def compare(baseline: Dict[str, Any], candidate: Dict[str, Any],
     for metric in sorted(set(base) | set(cand)):
         if any(metric.startswith(p) for p in SKIPPED_PREFIXES):
             continue
-        is_wall = metric.startswith(_WALL_PREFIX)
-        if is_wall and not metric.endswith(_WALL_RATE_SUFFIX):
-            # elapsed seconds and raw counts: harness detail, never held
-            continue
         b, c = base.get(metric), cand.get(metric)
         if b is None:
             report.new_metrics.append(Finding(
@@ -226,9 +191,7 @@ def compare(baseline: Dict[str, Any], candidate: Dict[str, Any],
                 metric, b, None, 0.0, 0.0, "n/a", "missing"))
             continue
         report.compared += 1
-        tolerance = _tolerance_for(
-            metric, WALL_TOLERANCE if is_wall else default_tolerance,
-            overrides)
+        tolerance = _tolerance_for(metric, default_tolerance, overrides)
         direction = metric_direction(metric)
         rel = (c - b) / b if b else (0.0 if c == b else float("inf"))
         if abs(rel) <= tolerance:
@@ -244,12 +207,11 @@ def compare(baseline: Dict[str, Any], candidate: Dict[str, Any],
 
 def check_paths(baseline_path: str, candidate_path: str,
                 default_tolerance: float = DEFAULT_TOLERANCE,
-                overrides: Optional[Dict[str, float]] = None,
-                with_diff: bool = True) -> RegressionReport:
+                overrides: Optional[Dict[str, float]] = None
+                ) -> RegressionReport:
     """Load two snapshot files and compare them.
 
-    When the gate fails (and ``with_diff`` is left on), the differential
-    root-cause report (:func:`repro.obs.diff.diff_snapshots`) is
+    When the gate fails, the differential root-cause report (:func:`repro.obs.diff.diff_snapshots`) is
     attached on ``report.diff`` so the failure explains itself.
     """
     from repro.bench.snapshot import load_snapshot
@@ -258,7 +220,7 @@ def check_paths(baseline_path: str, candidate_path: str,
     report = compare(baseline, candidate,
                      default_tolerance=default_tolerance,
                      overrides=overrides)
-    if with_diff and not report.ok:
+    if not report.ok:
         from repro.obs.diff import diff_snapshots
         report.diff = diff_snapshots(baseline, candidate)
     return report

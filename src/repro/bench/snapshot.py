@@ -22,37 +22,15 @@ import json
 import os
 import platform as _platform
 import re
-import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-#: v2 adds per-``(machine, layer, name)`` critical-path leaves
-#: (``critical_path.path_ns_by_location`` — the run-differ's join key)
-#: and span-duration percentile leaves from the mergeable sketch
-#: (``span_percentiles`` — tail behaviour under the gate, not just sums).
-#: v3 adds a top-level ``wall`` section (host wall-clock throughput:
-#: ``events_per_sec`` / ``invocations_per_sec``) — informational only.
-#: v4 adds per-subsystem throughput subsections under ``wall`` —
-#: ``wall.engine`` (events/sec against time spent *inside* engine.run,
-#: from the hub's ``wall.run.ns`` counter), ``wall.hub`` (telemetry
-#: records/sec), and ``wall.fleet`` (a bounded open-loop fleet smoke:
-#: invocations/sec and events/sec) — and the regression gate starts
-#: holding the ``*_per_sec`` rate leaves inside a generous band
-#: (:data:`repro.bench.regression.WALL_TOLERANCE`), so a wall-clock
-#: collapse fails CI instead of hiding in an "informational" section.
-#: v5 adds per-cell ``lineage`` leaves from the page-provenance tracker
-#: (:mod:`repro.obs.lineage`): bytes moved / touched, transfer
-#: amplification, prefetch waste and duplicate pulls — all byte-exact
-#: functions of ``(code, seed, scale)``, held by the gate in both
-#: directions (a silent change in how many bytes a transport moves is a
-#: regression even when the nanoseconds stay put).
-SCHEMA_VERSION = 5
-
-#: Versions :func:`load_snapshot` accepts; v2 snapshots lack the
-#: ``wall`` section, v3 lacks its per-subsystem subsections and v4
-#: lacks the ``lineage`` cells — absent leaves surface as "new"
-#: findings (not failures), so older baselines stay comparable against
-#: v5 candidates.
-SUPPORTED_VERSIONS = (2, 3, 4, 5)
+#: v6: simulated leaves only.  Per-cell headline metrics, critical-path
+#: leaves keyed by ``(machine, layer, name)`` (the run-differ's join
+#: key), span-duration percentiles from the mergeable sketch and
+#: page-provenance ``lineage`` totals — every one a pure function of
+#: ``(code, seed, scale)``.  The host-time ``wall`` section of v3–v5 is
+#: gone: host time is measured by ``perfbench/``, nowhere else.
+SCHEMA_VERSION = 6
 
 #: The fixed operating point snapshots are taken at (CI uses exactly this).
 DEFAULT_SEED = 0
@@ -128,30 +106,16 @@ def collect(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
             workloads: Optional[Sequence[str]] = None,
             transports: Optional[Sequence[str]] = None) -> Dict[str, Any]:
     """Run the benchmark matrix and return the snapshot dict."""
-    import time
-
     from repro.api import run
 
     workloads = tuple(workloads) if workloads else DEFAULT_WORKLOADS
     transports = tuple(transports) if transports else DEFAULT_TRANSPORTS
     matrix: Dict[str, Dict[str, Any]] = {}
-    wall_started = time.perf_counter()
-    wall_events = 0
-    wall_invocations = 0
-    engine_run_ns = 0
-    hub_records = 0
     for workload in workloads:
         row: Dict[str, Any] = {}
         for transport in transports:
             result = run(workload, transport=transport, seed=seed, scale=scale,
                          telemetry=True, lineage=True)
-            hub = result.telemetry
-            wall_events += hub.counter("sim", "sim.engine",
-                                       "events.dispatched")
-            wall_invocations += hub.counter("coordinator", "platform",
-                                            "invocations.completed")
-            engine_run_ns += hub.counter("sim", "sim.engine", "wall.run.ns")
-            hub_records += hub.records
             stages = result.stage_totals()
             row[transport] = {
                 "e2e_ns": result.latency_ns,
@@ -176,49 +140,6 @@ def collect(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
             derived[f"{workload}.{transport}.speedup_over_messaging"] = \
                 round(base["e2e_ns"] / entry["e2e_ns"], 4)
 
-    # derive the rates from the *stored* elapsed value so the section is
-    # internally consistent: rate == count / elapsed_s holds on read-back
-    # (elapsed covers the matrix only — the fleet smoke below keeps its
-    # own clock)
-    elapsed_s = round(time.perf_counter() - wall_started, 6)
-
-    # a bounded open-loop fleet smoke, so the snapshot carries fleet-path
-    # throughput too (the matrix above only drives the run() facade)
-    from repro.fleet.runner import run_fleet, smoke_spec
-
-    fleet_wall = run_fleet(smoke_spec(seed=seed)).wall
-    engine_run_s = engine_run_ns / 1_000_000_000
-    wall = {
-        "elapsed_s": elapsed_s,
-        "events": wall_events,
-        "invocations": wall_invocations,
-        "events_per_sec": round(wall_events / elapsed_s, 4)
-        if elapsed_s else 0.0,
-        "invocations_per_sec": round(wall_invocations / elapsed_s, 4)
-        if elapsed_s else 0.0,
-        # v4: per-subsystem throughput.  ``engine.events_per_sec`` is
-        # measured against wall time spent *inside* engine.run() (the
-        # hub's wall.run.ns counter), not total harness elapsed — it
-        # isolates the scheduler from workload setup/analysis cost.
-        "engine": {
-            "events": wall_events,
-            "run_ns": engine_run_ns,
-            "events_per_sec": round(wall_events / engine_run_s, 4)
-            if engine_run_s else 0.0,
-        },
-        "hub": {
-            "records": hub_records,
-            "records_per_sec": round(hub_records / elapsed_s, 4)
-            if elapsed_s else 0.0,
-        },
-        "fleet": {
-            "elapsed_s": fleet_wall["elapsed_s"],
-            "invocations": fleet_wall["invocations"],
-            "invocations_per_sec": fleet_wall["invocations_per_sec"],
-            "events_per_sec": fleet_wall["events_per_sec"],
-        },
-    }
-
     return {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
@@ -226,7 +147,6 @@ def collect(seed: int = DEFAULT_SEED, scale: float = DEFAULT_SCALE,
         "workloads": {w: matrix[w] for w in sorted(matrix)},
         "derived": dict(sorted(derived.items())),
         "environment": _environment(),
-        "wall": wall,
     }
 
 
@@ -240,10 +160,10 @@ def load_snapshot(path: str) -> Dict[str, Any]:
     with open(path, "r", encoding="utf-8") as fh:
         snapshot = json.load(fh)
     version = snapshot.get("schema_version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != SCHEMA_VERSION:
         raise ValueError(
             f"{path}: snapshot schema v{version!r}, this tool reads "
-            f"v{SUPPORTED_VERSIONS}")
+            f"v{SCHEMA_VERSION}")
     return snapshot
 
 
@@ -264,19 +184,3 @@ def next_snapshot_path(directory: str = ".") -> str:
              for p in snapshot_paths(directory)]
     n = max(taken) + 1 if taken else 0
     return os.path.join(directory, f"BENCH_{n}.json")
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover
-    """Tiny standalone entry (``python -m repro bench`` is the main one)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description="write a BENCH snapshot")
-    parser.add_argument("--json-out", default=None)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--scale", type=float, default=DEFAULT_SCALE)
-    args = parser.parse_args(argv)
-    snapshot = collect(seed=args.seed, scale=args.scale)
-    path = args.json_out or next_snapshot_path(".")
-    write_snapshot(snapshot, path)
-    print(f"wrote {path}", file=sys.stderr)
-    return 0

@@ -41,7 +41,7 @@ def default_transport() -> RmmapTransport:
     return get_transport("rmmap-prefetch", rpc_fallback=True)
 
 
-def run_chaos_workflow(workload="ml-prediction", *,
+def run_chaos_workflow(workload: str = "ml-prediction", *,
                        seed: int = 0,
                        requests: int = 6,
                        n_machines: int = 6,
@@ -68,38 +68,12 @@ def run_chaos_workflow(workload="ml-prediction", *,
     telemetry hub (one is captured for the run if none is installed), so
     injected faults show up as burn-rate alerts at deterministic
     simulated timestamps.  Monitoring is a pure observer — the
-    ChaosReport fingerprint is identical with it on or off.
-
-    *workload* may also be a :class:`repro.api.RunConfig`: its
-    ``workload`` / ``transport`` / ``seed`` / ``scale`` / ``telemetry``
-    / ``monitor`` fields apply and its ``chaos`` dict supplies the
-    remaining keywords.  Every argument but *workload* is keyword-only.
+    ChaosReport fingerprint is identical with it on or off.  Every
+    argument but *workload* is keyword-only.
     """
     from repro import obs
 
-    knobs = {"seed": seed, "requests": requests, "n_machines": n_machines,
-             "schedule": schedule, "transport_factory": transport_factory,
-             "policy": policy, "scale": scale, "lease_ns": lease_ns,
-             "grace_ns": grace_ns, "scan_interval_ns": scan_interval_ns}
     hub = obs.current()
-    if not isinstance(workload, str):
-        from repro.api import RunConfig, _resolve_hub, _resolve_monitor
-        if not isinstance(workload, RunConfig):
-            raise TypeError(f"workload must be a name or RunConfig, "
-                            f"got {workload!r}")
-        cfg = workload
-        transport_obj = (get_transport(cfg.transport,
-                                       **(cfg.transport_opts or {}))
-                         if isinstance(cfg.transport, str)
-                         else cfg.transport)
-        knobs.update(seed=cfg.seed, scale=cfg.scale,
-                     transport_factory=lambda: transport_obj,
-                     monitor=_resolve_monitor(cfg.monitor))
-        knobs.update(cfg.chaos or {})
-        monitor = knobs.pop("monitor")
-        # the config's own hub (profile implies one) shadows an ambient one
-        hub = _resolve_hub(cfg.telemetry or cfg.profile) or hub
-        workload = cfg.workload
     if hub is None and monitor is not None:
         hub = obs.Telemetry()
     with contextlib.ExitStack() as stack:
@@ -108,7 +82,11 @@ def run_chaos_workflow(workload="ml-prediction", *,
         if monitor is not None:
             monitor.attach(hub)
             stack.callback(monitor.detach)
-        return _run_chaos(workload, **knobs)
+        return _run_chaos(
+            workload, seed=seed, requests=requests, n_machines=n_machines,
+            schedule=schedule, transport_factory=transport_factory,
+            policy=policy, scale=scale, lease_ns=lease_ns,
+            grace_ns=grace_ns, scan_interval_ns=scan_interval_ns)
 
 
 def _run_chaos(workload: str, *, seed, requests, n_machines, schedule,

@@ -1,5 +1,10 @@
 """Command-line interface: run any paper experiment from the shell.
 
+The experiments themselves — name, description, run, tables — are the
+rows of :data:`repro.bench.experiments.EXPERIMENTS`; this module parses
+flags, dispatches to a row and holds the commands that are not
+experiments (``_COMMANDS``).
+
 Examples::
 
     python -m repro list
@@ -31,245 +36,9 @@ import os
 import sys
 from typing import Any, Callable, Dict
 
-from repro.analysis.report import Table, format_ns
-
-
-def _fig3() -> None:
-    """Fig 3: state transfer's share of workflow end-to-end latency."""
-    from repro.bench.figures_workflow import fig3_transfer_share
-    results = fig3_transfer_share()
-    table = Table("Fig 3: state-transfer cost breakdown",
-                  ["workflow", "transport", "e2e_ms", "func", "serdes",
-                   "software", "transfer-ratio"])
-    for wf, row in results.items():
-        for tname, d in row.items():
-            table.add_row(wf, tname, d["e2e_ms"], d["func_share"],
-                          d["serdes_share"], d["software_share"],
-                          d["transfer_share"])
-    table.print()
-
-
-def _fig5() -> None:
-    """Fig 5: (de)serialization share over a zeroed software path."""
-    from repro.bench.figures_workflow import fig5_serialization_share
-    results = fig5_serialization_share()
-    table = Table("Fig 5: (de)serialization share (zero software path)",
-                  ["workflow", "transport", "e2e_ms", "serdes-share"])
-    for wf, row in results.items():
-        for tname, d in row.items():
-            table.add_row(wf, tname, d["e2e_ms"], d["serdes_share"])
-    table.print()
-
-
-def _fig11a() -> None:
-    """Fig 11a: transform/network/reconstruct per data type."""
-    from repro.bench.figures_micro import fig11a_datatypes
-    results = fig11a_datatypes()
-    table = Table("Fig 11a: per-type T/N/R",
-                  ["type", "transport", "T", "N", "R", "E2E"])
-    for type_name, row in results.items():
-        for tname, res in row.items():
-            b = res.breakdown
-            table.add_row(type_name, tname, format_ns(b.transform_ns),
-                          format_ns(b.network_ns),
-                          format_ns(b.reconstruct_ns), format_ns(b.e2e_ns))
-    table.print()
-
-
-def _fig11b() -> None:
-    """Fig 11b: end-to-end transfer latency vs list(int) size."""
-    from repro.bench.figures_micro import fig11b_payload_sweep
-    results = fig11b_payload_sweep()
-    names = list(next(iter(results.values())))
-    table = Table("Fig 11b: E2E vs list(int) entries", ["entries"] + names)
-    for count, row in sorted(results.items()):
-        table.add_row(count, *[format_ns(row[n]) for n in names])
-    table.print()
-
-
-def _fig12() -> None:
-    """Fig 12: platform throughput and tail latency under load."""
-    from repro.bench.figures_platform import (fig12_fixed_rate,
-                                              fig12_saturated)
-    saturated = fig12_saturated()
-    table = Table("Fig 12 (upper): saturated",
-                  ["transport", "tput/s", "p50_ms", "p99_ms"])
-    for tname, d in saturated.items():
-        table.add_row(tname, d["throughput_per_s"], d["stats"].p50_ms,
-                      d["stats"].p99_ms)
-    table.print()
-    fixed = fig12_fixed_rate()
-    table = Table("Fig 12 (lower): fixed rate",
-                  ["transport", "tput/s", "mean-pods", "p50_ms", "p99_ms"])
-    for tname, d in fixed.items():
-        table.add_row(tname, d["throughput_per_s"], d["mean_pods"],
-                      d["stats"].p50_ms, d["stats"].p99_ms)
-    table.print()
-
-
-def _fig13() -> None:
-    """Fig 13: RMMAP vs storage-RDMA across workload knobs (+ Java)."""
-    from repro.bench.figures_workflow import (fig13a_epochs, fig13b_payload,
-                                              fig13c_width, fig13d_java)
-    for title, results, key in (
-            ("epochs", fig13a_epochs(), "epochs"),
-            ("payload (images)", fig13b_payload(), "images"),
-            ("width", fig13c_width(), "width")):
-        table = Table(f"Fig 13 ({title})",
-                      [key, "storage-rdma_ms", "rmmap_ms", "improvement"])
-        for knob, d in sorted(results.items()):
-            table.add_row(knob, d["storage-rdma"], d["rmmap"],
-                          d["improvement"])
-        table.print()
-    java = fig13d_java()
-    table = Table("Fig 13d: Java WordCount", ["transport", "latency_ms"])
-    for tname, latency in java.items():
-        table.add_row(tname, latency)
-    table.print()
-
-
-def _fig14() -> None:
-    """Fig 14: end-to-end latency of the four workflows per transport."""
-    from repro.bench.figures_workflow import fig14_end_to_end
-    results = fig14_end_to_end()
-    names = list(next(iter(results.values())))
-    table = Table("Fig 14: workflow E2E latency (ms)",
-                  ["workflow"] + names)
-    for wf, row in results.items():
-        table.add_row(wf, *[row[n] for n in names])
-    table.print()
-
-
-def _fig15() -> None:
-    """Fig 15: factor analysis of RMMAP's latency savings."""
-    from repro.bench.figures_platform import fig15_factor_analysis
-    results = fig15_factor_analysis()
-    table = Table("Fig 15: factor analysis",
-                  ["variant", "setup_ms", "read_ms", "compute_ms",
-                   "e2e_ms"])
-    for name, d in results.items():
-        table.add_row(name, d["setup_ms"], d["read_ms"], d["compute_ms"],
-                      d["e2e_ms"])
-    table.print()
-
-
-def _fig16a() -> None:
-    """Fig 16a: peak memory footprint per transport vs optimal."""
-    from repro.bench.figures_platform import fig16a_memory
-    results = fig16a_memory()
-    table = Table("Fig 16a: peak memory (MB)",
-                  ["entries", "optimal", "rmmap", "messaging", "storage"])
-    for count, d in sorted(results.items()):
-        table.add_row(count, d["optimal"], d["rmmap"], d["messaging"],
-                      d["storage"])
-    table.print()
-
-
-def _fig16b() -> None:
-    """Fig 16b: RMMAP vs Naos on linked-pair payloads."""
-    from repro.bench.figures_micro import fig16b_naos
-    results = fig16b_naos()
-    table = Table("Fig 16b: RMMAP vs Naos",
-                  ["pairs", "naos", "rmmap", "rmmap faster by"])
-    for count, d in sorted(results.items()):
-        table.add_row(count, format_ns(d["naos"]), format_ns(d["rmmap"]),
-                      f"{1.0 - d['rmmap'] / d['naos']:.0%}")
-    table.print()
-
-
-def _ablations() -> None:
-    """Design-choice ablations: planning, registration, prefetch, ..."""
-    from repro.bench import ablations as ab
-    print("planning:", ab.ablation_planning())
-    print("conflict:", ab.ablation_rmap_conflict_demo())
-    print("registration:", ab.ablation_registration_mode())
-    print("prefetch threshold:", ab.ablation_prefetch_threshold())
-    print("page-table mode:", ab.ablation_page_table_mode())
-    print("compression:", ab.ablation_compression())
-
-
-def _calibration() -> None:
-    """Section 2.4 calibration: serializer costs vs paper measurements."""
-    from repro.bench.figures_micro import section24_calibration
-    result = section24_calibration()
-    table = Table("Section 2.4 calibration", ["metric", "value"])
-    for key, value in result.items():
-        table.add_row(key, value)
-    table.print()
-
-
-def _quickstart() -> None:
-    """WordCount through the run façade: messaging vs RMMAP."""
-    from repro import obs
-    from repro.api import run
-    from repro.bench.config import bench_scale
-
-    scale = bench_scale(0.05)
-    seed = int(os.environ.get("REPRO_SEED", "0") or 0)
-    table = Table("Quickstart: WordCount, messaging vs RMMAP",
-                  ["transport", "latency_ms", "transfer_ms", "distinct"])
-    rows = {}
-    for name in ("messaging", "rmmap-prefetch"):
-        # reuse a --trace-out hub so the trace covers both runs
-        hub = obs.current()
-        result = run("wordcount", transport=name, seed=seed, scale=scale,
-                     telemetry=hub if hub is not None else True)
-        record = result.record
-        table.add_row(name, record.latency_ns / 1e6,
-                      record.transfer_ns / 1e6,
-                      record.result["distinct_words"])
-        rows[name] = record.latency_ns
-    table.print()
-    speedup = rows["messaging"] / rows["rmmap-prefetch"]
-    print(f"RMMAP end-to-end speedup over messaging: {speedup:.2f}x")
-
-
-def _chaos_seed() -> int:
-    raw = os.environ.get("REPRO_CHAOS_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        sys.exit(f"repro: REPRO_CHAOS_SEED must be an integer, "
-                 f"got {raw!r}")
-
-
-def _chaos(workload: str) -> Callable[[], None]:
-    """A ``chaos-<workload>`` entry: the Fig-14 workflow under a seeded
-    fault schedule (seed via REPRO_CHAOS_SEED, default 0)."""
-    def run() -> None:
-        from repro.chaos import run_chaos_workflow
-        print(run_chaos_workflow(workload,
-                                 seed=_chaos_seed()).render())
-    run.__doc__ = (f"Fig-14 {workload} workflow under a seeded "
-                   f"fault schedule.")
-    return run
-
-
-EXPERIMENTS: Dict[str, Callable[[], None]] = {
-    "quickstart": _quickstart,
-    "fig3": _fig3,
-    "fig5": _fig5,
-    "fig11a": _fig11a,
-    "fig11b": _fig11b,
-    "fig12": _fig12,
-    "fig13": _fig13,
-    "fig14": _fig14,
-    "fig15": _fig15,
-    "fig16a": _fig16a,
-    "fig16b": _fig16b,
-    "ablations": _ablations,
-    "calibration": _calibration,
-    "chaos-finra": _chaos("finra"),
-    "chaos-ml-training": _chaos("ml-training"),
-    "chaos-ml-prediction": _chaos("ml-prediction"),
-    "chaos-wordcount": _chaos("wordcount"),
-}
-
-
-def _describe(fn: Callable[[], None]) -> str:
-    doc = (fn.__doc__ or "").strip()
-    return doc.splitlines()[0] if doc else ""
-
+from repro.analysis.report import Table
+from repro.bench.config import chaos_seed
+from repro.bench.experiments import EXPERIMENTS
 
 #: Commands handled outside the EXPERIMENTS table (shown by ``list``).
 _COMMANDS = {
@@ -318,7 +87,7 @@ def _list(args) -> int:
     """Print every experiment and command with a one-line description."""
     width = max(map(len, list(EXPERIMENTS) + list(_COMMANDS)))
     for name in sorted(EXPERIMENTS):
-        print(f"{name:<{width}}  {_describe(EXPERIMENTS[name])}")
+        print(f"{name:<{width}}  {EXPERIMENTS[name].description}")
     for name in sorted(_COMMANDS):
         print(f"{name:<{width}}  {_COMMANDS[name]}")
     return 0
@@ -379,7 +148,7 @@ def _monitor(args) -> int:
 
     workload = args.workload[0] if args.workload else "wordcount"
     monitor = obs.FleetMonitor()
-    report = run_chaos_workflow(workload, seed=_chaos_seed(),
+    report = run_chaos_workflow(workload, seed=chaos_seed(),
                                 monitor=monitor)
     if args.format == "json":
         print(json.dumps(monitor.snapshot(), indent=2, sort_keys=True))
@@ -447,8 +216,7 @@ def _fleet(args) -> int:
     from repro.api import run_fleet
 
     result = run_fleet(_fleet_spec(args))
-    _emit(args, result.to_dict(include_wall=args.include_wall),
-          lambda _: result.render())
+    _emit(args, result.to_dict(), lambda _: result.render())
     if args.triage_out:
         _write_triage(result, args.triage_out)
     return 0
@@ -597,10 +365,6 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="fleet: the small CI configuration "
                              "(3 tenants, 2 shards, ~1e3 invocations)")
-    parser.add_argument("--include-wall", action="store_true",
-                        help="fleet: include host wall-clock throughput "
-                             "in the JSON output (not seed-deterministic"
-                             " — breaks byte-identical replay compares)")
     parser.add_argument("--shards", type=int, default=4,
                         help="fleet: coordinator shard count")
     parser.add_argument("--tenants", type=int, default=8,
@@ -651,11 +415,12 @@ def main(argv=None) -> int:
         obs.install(hub)
     try:
         if args.experiment == "all":
-            for name, fn in sorted(EXPERIMENTS.items()):
+            for name, row in sorted(EXPERIMENTS.items()):
                 print(f"### {name}")
-                fn()
+                row.show(row.run())
         else:
-            EXPERIMENTS[args.experiment]()
+            row = EXPERIMENTS[args.experiment]
+            row.show(row.run())
     finally:
         if hub is not None:
             from repro import obs

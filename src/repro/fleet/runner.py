@@ -19,14 +19,12 @@ the fleet's service times to the actual simulated stack.
 
 **Determinism.**  ``FleetResult.to_json()`` is byte-identical across
 same-seed runs: every timestamp and every sample derives from the
-seeded rng tree and the engine's tie-break order, and wall-clock
-throughput metrics are excluded from serialization unless explicitly
-requested (``include_wall=True``).
+seeded rng tree and the engine's tie-break order; the host-side
+``FleetResult.wall`` figures are never serialized.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
@@ -226,15 +224,15 @@ class FleetResult(_BaseRunResult):
     shards: List[Dict[str, Any]]
     admission: Dict[str, Any]
     alerts: List[Dict[str, Any]]
-    #: host wall-clock throughput — excluded from to_dict/to_json unless
-    #: include_wall=True, because wall time is not seed-deterministic
+    #: host wall-clock throughput — shown by render(), never serialized
+    #: (wall time is not seed-deterministic)
     wall: Dict[str, Any] = field(default_factory=dict)
     monitor: Optional[FleetMonitor] = None
     #: the hub that observed the run (write_trace/write_flamegraph input)
     telemetry: Optional[obs.Telemetry] = None
 
-    def to_dict(self, include_wall: bool = False) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+    def to_dict(self) -> Dict[str, Any]:
+        return {
             "schema": RESULT_SCHEMA,
             "seed": self.seed,
             "sim_end_ns": self.sim_end_ns,
@@ -245,13 +243,6 @@ class FleetResult(_BaseRunResult):
             "shards": self.shards,
             "alerts": self.alerts,
         }
-        if include_wall:
-            out["wall"] = self.wall
-        return out
-
-    def to_json(self, include_wall: bool = False) -> str:
-        return json.dumps(self.to_dict(include_wall=include_wall),
-                          sort_keys=True, indent=2)
 
     def tenant(self, name: str) -> Dict[str, Any]:
         for entry in self.tenants:
@@ -466,7 +457,6 @@ def _collect_result(spec: FleetSpec, coord: ShardedCoordinator,
         "events_per_sec": round(events / wall_s, 3) if wall_s else 0.0,
         "invocations_per_sec": round(invocations / wall_s, 3)
         if wall_s else 0.0,
-        "records_per_sec": round(records / wall_s, 3) if wall_s else 0.0,
     }
     return FleetResult(
         spec=spec, seed=spec.seed, sim_end_ns=sim_end_ns,

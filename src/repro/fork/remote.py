@@ -65,11 +65,6 @@ class ForkedContainer(Container):
             page_table_mode=self._fork_page_table_mode,
             rpc_fallback=self._fork_rpc_fallback)
 
-    @property
-    def remote_vma(self):
-        return self.fork_handle.vma if self.fork_handle is not None \
-            else None
-
     def working_set_vaddrs(self, pages: int) -> List[int]:
         """The first *pages* addresses worth pulling eagerly: with an
         eager snapshot, the parent's lowest materialized pages; with

@@ -148,16 +148,7 @@ class ForkManager:
             del self.sources[key]
         return len(dead)
 
-    def release_all(self) -> None:
-        for source in self.sources.values():
-            source.release()
-        self.sources.clear()
-
     def fork_backed(self, containers) -> int:
         """How many of *containers* are fork-backed children."""
         return sum(1 for c in containers
                    if getattr(c, "fork_handle", None) is not None)
-
-    def stats(self) -> Dict[str, int]:
-        return {"sources": len(self.sources), "forks": self.forks,
-                "prewarm_forks": self.prewarm_forks}

@@ -22,8 +22,7 @@ See ``docs/observability.md`` for the metric naming scheme.
 """
 
 from repro.obs.telemetry import (Histogram, MetricKey, Telemetry,
-                                 WALL_PREFIX, capture, current, install,
-                                 uninstall)
+                                 capture, current, install, uninstall)
 from repro.obs.export import (to_chrome_trace, to_chrome_trace_json,
                               to_csv, to_json, to_prom_text,
                               write_chrome_trace, write_csv, write_json,
@@ -52,7 +51,6 @@ __all__ = [
     "Histogram",
     "MetricKey",
     "Telemetry",
-    "WALL_PREFIX",
     "capture",
     "current",
     "install",

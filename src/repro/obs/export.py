@@ -10,8 +10,8 @@ understood by Perfetto / ``chrome://tracing``:
 
 Processes (``pid``) map to machines and threads (``tid``) to layers, with
 ``"M"`` metadata records naming both, so a trace opens as one row per
-(machine, layer).  Host wall-clock metrics (``wall.`` prefix) are skipped,
-making the export a deterministic function of the seeded run.
+(machine, layer).  The hub holds no host-clock metric, so every export is
+a pure function of the seeded run.
 """
 
 from __future__ import annotations
@@ -22,39 +22,35 @@ import json
 import re
 from typing import Any, Dict, List, Optional
 
-from repro.obs.telemetry import Telemetry, WALL_PREFIX
+from repro.obs.telemetry import Telemetry
 
 
-def to_json(hub: Telemetry, deterministic: bool = False,
-            indent: Optional[int] = 2, monitor=None) -> str:
+def to_json(hub: Telemetry, indent: Optional[int] = 2,
+            monitor=None) -> str:
     """The hub snapshot as a JSON document.
 
     ``monitor`` (a :class:`~repro.obs.monitor.FleetMonitor`) embeds the
     fleet view — windowed series, SLOs, the alert timeline — under a
     ``"monitor"`` key alongside the raw hub data.
     """
-    snapshot = hub.snapshot(deterministic=deterministic)
+    snapshot = hub.snapshot()
     if monitor is not None:
         snapshot["monitor"] = monitor.snapshot()
     return json.dumps(snapshot, indent=indent, sort_keys=True)
 
 
-def write_json(hub: Telemetry, path: str,
-               deterministic: bool = False, monitor=None) -> None:
+def write_json(hub: Telemetry, path: str, monitor=None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(hub, deterministic=deterministic,
-                         monitor=monitor))
+        fh.write(to_json(hub, monitor=monitor))
         fh.write("\n")
 
 
-def to_csv(hub: Telemetry, deterministic: bool = False) -> str:
+def to_csv(hub: Telemetry) -> str:
     """Counters, gauges and histogram summaries as flat CSV rows."""
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["kind", "machine", "layer", "name", "field", "value"])
     for kind, (machine, layer, name), value in hub.iter_metrics():
-        if deterministic and name.startswith(WALL_PREFIX):
-            continue
         if kind == "histogram":
             for fname, fvalue in (("count", value.count),
                                   ("sum", value.sum),
@@ -68,10 +64,9 @@ def to_csv(hub: Telemetry, deterministic: bool = False) -> str:
     return out.getvalue()
 
 
-def write_csv(hub: Telemetry, path: str,
-              deterministic: bool = False) -> None:
+def write_csv(hub: Telemetry, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(to_csv(hub, deterministic=deterministic))
+        fh.write(to_csv(hub))
 
 
 # -- Prometheus / OpenMetrics text ---------------------------------------------
@@ -95,7 +90,7 @@ def _prom_label_value(value: str) -> str:
             .replace('"', r'\"'))
 
 
-def to_prom_text(hub: Telemetry, deterministic: bool = True) -> str:
+def to_prom_text(hub: Telemetry) -> str:
     """The hub's counters, gauges and histograms in the Prometheus /
     OpenMetrics text exposition format.
 
@@ -104,15 +99,11 @@ def to_prom_text(hub: Telemetry, deterministic: bool = True) -> str:
     ``_bucket{le=...}`` series (bucket bounds are the histogram's bin
     upper bounds) plus ``_sum``/``_count``.  Machines become a
     ``machine`` label and the hub layer a ``layer`` label, so one scrape
-    carries the whole simulated cluster.  ``deterministic=True``
-    (default) drops host wall-clock (``wall.``) metrics, making the text
-    a pure function of the seeded run.  Ends with the OpenMetrics
+    carries the whole simulated cluster.  Ends with the OpenMetrics
     ``# EOF`` terminator.
     """
     groups: Dict[tuple, List[tuple]] = {}
     for kind, (machine, layer, name), value in hub.iter_metrics():
-        if deterministic and name.startswith(WALL_PREFIX):
-            continue
         groups.setdefault((layer, name, kind), []).append((machine, value))
     lines: List[str] = []
     for layer, name, kind in sorted(groups):
@@ -142,10 +133,9 @@ def to_prom_text(hub: Telemetry, deterministic: bool = True) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_prom(hub: Telemetry, path: str,
-               deterministic: bool = True) -> None:
+def write_prom(hub: Telemetry, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_prom_text(hub, deterministic=deterministic))
+        fh.write(to_prom_text(hub))
 
 
 # -- Chrome trace-event format -------------------------------------------------
@@ -231,8 +221,6 @@ def to_chrome_trace(hub: Telemetry, monitor=None) -> Dict[str, Any]:
 
     for key in sorted(hub.series):
         machine, layer, name = key
-        if name.startswith(WALL_PREFIX):
-            continue
         track = f"{layer}/{name}"
         for ts, value in hub.series[key].samples:
             body.append({

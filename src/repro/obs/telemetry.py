@@ -20,9 +20,8 @@ With no hub installed (the default) the cost is one global read and a
 manager — mirroring how tracing is opt-in.
 
 Determinism: every recorded value derives from the simulated clock and the
-seeded simulation, except metrics whose name carries the ``wall.`` prefix
-(host wall-clock measurements).  :meth:`Telemetry.snapshot` with
-``deterministic=True`` filters those, so same seed ⇒ identical snapshot.
+seeded simulation — no layer reads the host clock into the hub — so same
+seed ⇒ identical :meth:`Telemetry.snapshot`.
 
 Causal spans: every span carries ``span_id`` / ``parent_id`` /
 ``trace_id`` fields so a run's spans form one rooted tree that
@@ -42,10 +41,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 #: (machine, layer, name) — the key every metric is filed under.
 MetricKey = Tuple[str, str, str]
-
-#: Prefix marking metrics measured against the host wall clock; they are
-#: excluded from deterministic snapshots and the Chrome-trace export.
-WALL_PREFIX = "wall."
 
 
 class Histogram:
@@ -558,29 +553,19 @@ class Telemetry:
         for key in sorted(self.histograms):
             yield "histogram", key, self.histograms[key]
 
-    def snapshot(self, deterministic: bool = False) -> Dict[str, Any]:
-        """A JSON-ready dict of everything the hub holds.
-
-        ``deterministic=True`` drops ``wall.``-prefixed metrics so the
-        result is a pure function of the seeded simulation.
-        """
-        def keep(key: MetricKey) -> bool:
-            return not (deterministic and key[2].startswith(WALL_PREFIX))
-
+    def snapshot(self) -> Dict[str, Any]:
+        """A JSON-ready dict of everything the hub holds."""
         return {
             "counters": [
                 {"machine": m, "layer": lyr, "name": n, "value": v}
-                for (m, lyr, n), v in sorted(self.counters.items())
-                if keep((m, lyr, n))],
+                for (m, lyr, n), v in sorted(self.counters.items())],
             "gauges": [
                 {"machine": m, "layer": lyr, "name": n, "value": v}
-                for (m, lyr, n), v in sorted(self.gauges.items())
-                if keep((m, lyr, n))],
+                for (m, lyr, n), v in sorted(self.gauges.items())],
             "histograms": [
                 {"machine": m, "layer": lyr, "name": n,
                  **self.histograms[(m, lyr, n)].to_dict()}
-                for (m, lyr, n) in sorted(self.histograms)
-                if keep((m, lyr, n))],
+                for (m, lyr, n) in sorted(self.histograms)],
             "events": list(self.events),
             "spans": list(self.spans),
             "dropped_events": self.dropped_events,

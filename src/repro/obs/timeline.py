@@ -203,8 +203,7 @@ class TimelineRecorder:
 
     Attached to a :class:`~repro.obs.Telemetry` hub via
     ``enable_timelines()``; the hub then routes every counter/gauge
-    update here (``wall.``-prefixed metrics excluded — they are host
-    measurements, not simulated state).
+    update here.
     """
 
     __slots__ = ("bucket_ns", "max_buckets", "max_series", "series",
@@ -221,8 +220,6 @@ class TimelineRecorder:
     def record(self, key: SeriesKey, ts_ns: int, value: int) -> None:
         timeline = self.series.get(key)
         if timeline is None:
-            if key[2].startswith("wall."):
-                return
             if len(self.series) >= self.max_series:
                 self.dropped_series += 1
                 return

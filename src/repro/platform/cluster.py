@@ -209,14 +209,3 @@ class ServerlessPlatform:
 
         self.engine.run_process(waiter(), name="closed-loop-waiter")
         return records
-
-    # -- introspection -----------------------------------------------------------------
-
-    def pods_in_use(self) -> int:
-        return self.scheduler.containers_in_use()
-
-    def memory_in_use(self) -> int:
-        return sum(m.physical.used_bytes for m in self.machines)
-
-    def peak_memory(self) -> int:
-        return sum(m.physical.peak_bytes for m in self.machines)

@@ -18,7 +18,6 @@ identical event timelines, final clocks and telemetry snapshots.
 
 from __future__ import annotations
 
-import time
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
@@ -303,12 +302,10 @@ class Engine:
 
     def _run_observed(self, hub, until: Optional[int]) -> int:
         """The same loop with telemetry: per-kind dispatch counts, queue
-        depth high-water, and wall-clock per simulated second.  All
-        deterministic metrics observe the seeded simulation only; the
-        ``wall.*`` ones are excluded from deterministic exports."""
+        depth high-water and simulated time advanced — every metric a
+        function of the seeded simulation only."""
         hub.attach_clock(self)
         sim0 = self._now
-        wall0 = time.perf_counter_ns()
         dispatched = [0, 0, 0]
         depth_hw = 0
         buckets = self._buckets
@@ -367,10 +364,6 @@ class Engine:
             sim_ns = self._now - sim0
             if sim_ns > 0:
                 hub.count("sim", "sim.engine", "sim.advanced.ns", sim_ns)
-                wall_ns = time.perf_counter_ns() - wall0
-                hub.count("sim", "sim.engine", "wall.run.ns", wall_ns)
-                hub.gauge("sim", "sim.engine", "wall.ns_per_sim_s",
-                          wall_ns * 1_000_000_000 // sim_ns)
 
     def run_process(self, gen: Generator, name: str = "") -> Any:
         """Spawn *gen*, run to completion, and return its result."""

@@ -1,16 +1,68 @@
-"""Tiny-scale smoke tests for the experiment functions.
+"""Tiny-scale smoke tests for the experiment table and its functions.
 
 The real assertions live in ``benchmarks/``; these only guard the
-experiment plumbing (shapes of returned structures, basic sanity) at
+experiment plumbing (every row of ``EXPERIMENTS`` described and listed,
+the cheap rows run and rendered, shapes of returned structures) at
 minimal input sizes so ``pytest tests/`` stays fast.
 """
 
 import pytest
 
+from repro.analysis.report import Table
+from repro.bench.experiments import EXPERIMENTS
+
+#: rows that finish in under ~2 s each at scale 0.02
+FAST_ROWS = ("quickstart", "fig11a", "fig11b", "fig15", "fig16a", "fig16b",
+             "ablations", "calibration")
+
 
 @pytest.fixture(autouse=True)
 def tiny_scale(monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_SCALE", "0.02")
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_every_row_is_described(name):
+    row = EXPERIMENTS[name]
+    assert row.name == name
+    assert row.description.strip()
+    assert callable(row.run) and callable(row.tables)
+
+
+def test_list_prints_exactly_the_table_plus_commands(capsys):
+    from repro.cli import _COMMANDS, main
+
+    assert main(["list"]) == 0
+    listed = [line.split()[0]
+              for line in capsys.readouterr().out.splitlines()]
+    assert listed == sorted(EXPERIMENTS) + sorted(_COMMANDS)
+
+
+@pytest.mark.parametrize("name", FAST_ROWS)
+def test_fast_rows_run_and_render(name, capsys):
+    row = EXPERIMENTS[name]
+    results = row.run()
+    blocks = row.tables(results)
+    assert blocks
+    for block in blocks:
+        assert isinstance(block, str) or (isinstance(block, Table)
+                                          and block.rows)
+    row.show(results)
+    out = capsys.readouterr().out
+    for block in blocks:
+        if isinstance(block, Table):
+            assert f"== {block.title} ==" in out
+
+
+def test_ablations_row_covers_all_seven():
+    from repro.bench import ablations
+
+    seven = {name for name in vars(ablations)
+             if name.startswith("ablation_")}
+    assert len(seven) == 7
+    results = EXPERIMENTS["ablations"].run()
+    assert len(results) == 7
+    assert results["conflict"].startswith("fallback-to-messaging: ")
 
 
 def test_fig11b_structure():
@@ -53,29 +105,21 @@ def test_fig11a_values_cover_all_types():
 
 
 def test_standard_transports_construct():
-    from repro.bench.microbench import standard_transports
-    for name, factory in standard_transports().items():
-        transport = factory()
-        assert transport.name.startswith(name.split("-")[0])
-
-
-def test_run_matrix_small():
-    from repro.bench.microbench import run_matrix
-    out = run_matrix({"tiny": [1, 2, 3]}, transports=["messaging",
-                                                      "rmmap"])
-    assert out["tiny"]["messaging"].value == [1, 2, 3]
-    assert out["tiny"]["rmmap"].value == [1, 2, 3]
+    from repro.bench.microbench import STANDARD_TRANSPORTS, measure_each
+    out = measure_each(STANDARD_TRANSPORTS, [1, 2, 3])
+    assert list(out) == list(STANDARD_TRANSPORTS)
+    for name, result in out.items():
+        assert result.transport == name
+        assert result.value == [1, 2, 3]
 
 
 def test_workflow_configs_structure():
-    from repro.bench.figures_workflow import (transport_factories,
-                                              workflow_configs)
+    from repro.bench.figures_workflow import workflow_configs
     configs = workflow_configs(scale=0.02)
     assert set(configs) == {"finra", "ml-training", "ml-prediction",
                             "wordcount"}
     for _builder, params in configs.values():
         assert isinstance(params, dict)
-    assert len(transport_factories()) == 5
 
 
 def test_ablation_smoke():

@@ -71,8 +71,7 @@ def crash_scenario(monitor=None):
         finally:
             if monitor is not None:
                 monitor.detach()
-        return timeline, engine.now, _stripped(hub.snapshot(
-            deterministic=True))
+        return timeline, engine.now, _stripped(hub.snapshot())
 
 
 def _stripped(snapshot):

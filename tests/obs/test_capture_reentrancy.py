@@ -11,7 +11,7 @@ runs inside fleet runs, raised exceptions, even explicit ``install`` /
 import pytest
 
 from repro import obs
-from repro.api import RunConfig, run
+from repro.api import run
 from repro.chaos.runner import run_chaos_workflow
 
 SCALE = 0.02
@@ -98,11 +98,10 @@ class TestFacadeComposition:
         assert obs.current() is None
 
     def test_facade_chaos_config_does_not_leak(self):
-        cfg = RunConfig(workload="ml-prediction",
-                        transport="rmmap-prefetch", seed=1, scale=SCALE,
-                        chaos={"requests": 2, "n_machines": 4},
-                        telemetry=True)
-        run_chaos_workflow(cfg)
+        result = run("ml-prediction", transport="rmmap-prefetch", seed=1,
+                     scale=SCALE, chaos={"requests": 2, "n_machines": 4},
+                     telemetry=True)
+        assert result.chaos_report.invocations == 2
         assert obs.current() is None
 
     def test_failed_run_does_not_leak(self):

@@ -74,5 +74,5 @@ def test_lint_rejects_known_bad_shapes():
                 "spaced name", ""):
         assert not lint(bad)
     for good in ("events.dispatched", "qp.mac0.bytes",
-                 "category.cow-mark.ns", "wall.ns_per_sim_s"):
+                 "category.cow-mark.ns", "sim.advanced.ns"):
         assert lint(good)

@@ -234,18 +234,14 @@ class TestDeterministicSnapshotAudit:
     def test_deterministic_snapshot_excludes_wall_metrics(self):
         result = run("wordcount", transport="rmmap-prefetch", seed=0, scale=SCALE,
                      telemetry=True)
-        hub = result.telemetry
-        hub.count("host", "sim.engine", "wall.elapsed_ms", 42)
-        full = hub.snapshot()
-        clean = hub.snapshot(deterministic=True)
-
-        def names(snap):
-            return {row["name"]
-                    for section in ("counters", "gauges", "histograms")
-                    for row in snap[section]}
-
-        assert any(n.startswith("wall.") for n in names(full))
-        assert not any(n.startswith("wall.") for n in names(clean))
+        snap = result.telemetry.snapshot()
+        names = {row["name"]
+                 for section in ("counters", "gauges", "histograms")
+                 for row in snap[section]}
+        # no layer reads the host clock into the hub (perfbench owns
+        # host time), so a snapshot needs no filtering to be replayable
+        assert names
+        assert not any(n.startswith("wall.") for n in names)
 
 
 # -- sampling diagnostics ------------------------------------------------------

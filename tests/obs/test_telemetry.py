@@ -130,17 +130,6 @@ class TestTelemetry:
         assert len(hub.events) == 2
         assert hub.dropped_events == 3
 
-    def test_deterministic_snapshot_drops_wall_metrics(self):
-        hub = Telemetry()
-        hub.count("sim", "sim.engine", "wall.run.ns", 123)
-        hub.count("sim", "sim.engine", "events.dispatched", 7)
-        snap = hub.snapshot(deterministic=True)
-        names = {c["name"] for c in snap["counters"]}
-        assert names == {"events.dispatched"}
-        full = hub.snapshot()
-        assert {c["name"] for c in full["counters"]} == {
-            "events.dispatched", "wall.run.ns"}
-
     def test_clock_attaches_idempotently_and_rebinds(self):
         class FakeEngine:
             now = 42

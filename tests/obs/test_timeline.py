@@ -68,10 +68,6 @@ def test_recorder_routes_and_bounds_series():
     assert rec.dropped_series == 1
     assert rec.get("m0", "fleet.shard", "queue.depth").count == 2
     assert rec.get("m2", "fleet.shard", "queue.depth") is None
-    # host wall-clock series never lands in timelines
-    rec2 = TimelineRecorder()
-    rec2.record(("host", "sim.engine", "wall.events_per_sec"), 5, 100)
-    assert rec2.keys() == []
 
 
 def test_recorder_snapshot_is_sorted_and_json_ready():

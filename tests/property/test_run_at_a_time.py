@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench import (config as bench_config, figures_micro,
+                         figures_workflow, microbench)
 from repro.bench.microbench import make_pair
 from repro.errors import OutOfMemory, SerializationError
 from repro.mem import (PAGE_SIZE, AddressRange, AddressSpace, AnonymousVMA,
@@ -600,11 +602,28 @@ def test_the_layout_table_has_one_row_per_tag():
     (AddressSpace, "translate", ["self", "vaddr", "write"]),
     (HeapAllocator, "alloc", ["self", "size"]),
     (HeapAllocator, "free", ["self", "vaddr"]),
+    (bench_config, "scaled", ["n", "scale", "minimum"]),
+    (microbench, "make_pair", ["heap_bytes", "cost",
+                               "resident_lib_bytes"]),
+    (microbench, "measure_transfer", ["transport", "producer", "consumer",
+                                      "value", "consume"]),
+    (figures_workflow, "workflow_configs", ["scale"]),
+    (figures_workflow, "_light_params", ["params"]),
+    (figures_micro, "synthetic_model", ["total_bytes", "n_trees"]),
+    (figures_micro, "section24_calibration", []),
 ])
 def test_names_the_benchmark_wraps_keep_their_signatures(owner, name,
                                                          parameters):
     assert list(inspect.signature(getattr(owner, name)).parameters) == \
         parameters
+
+
+def test_names_the_benchmark_imports_stay_where_they_are():
+    from repro import obs
+
+    assert isinstance(figures_micro._TYPE_LIBS, dict)
+    for name in ("Telemetry", "capture", "PercentileSketch"):
+        assert callable(getattr(obs, name))
 
 
 def test_read_is_a_one_shot_cursor():

@@ -9,7 +9,6 @@ the full figure matrix — 4 workloads × 3 transports, chaos off and on —
 at seed 0 through both engines, comparing everything the hub observed.
 """
 
-import time
 from heapq import heappop, heappush
 
 import pytest
@@ -65,7 +64,6 @@ class ReferenceEngine(Engine):
     def _run_observed(self, hub, until):
         hub.attach_clock(self)
         sim0 = self._now
-        wall0 = time.perf_counter_ns()
         dispatched = [0, 0, 0]
         depth_hw = 0
         try:
@@ -109,10 +107,6 @@ class ReferenceEngine(Engine):
             sim_ns = self._now - sim0
             if sim_ns > 0:
                 hub.count("sim", "sim.engine", "sim.advanced.ns", sim_ns)
-                wall_ns = time.perf_counter_ns() - wall0
-                hub.count("sim", "sim.engine", "wall.run.ns", wall_ns)
-                hub.gauge("sim", "sim.engine", "wall.ns_per_sim_s",
-                          wall_ns * 1_000_000_000 // sim_ns)
 
 
 def _facade_pair(monkeypatch, workload, transport, chaos):
@@ -127,7 +121,7 @@ def _facade_pair(monkeypatch, workload, transport, chaos):
             kwargs["chaos"] = {"requests": 2, "n_machines": 4}
         result = run(workload, transport=transport, **kwargs)
         out[label] = (result,
-                      result.telemetry.snapshot(deterministic=True))
+                      result.telemetry.snapshot())
     return out
 
 

@@ -104,8 +104,7 @@ def test_same_seed_same_telemetry():
             telemetry=True)
     b = run("wordcount", transport="rmmap-prefetch", scale=SCALE, seed=3,
             telemetry=True)
-    assert (a.telemetry.snapshot(deterministic=True)
-            == b.telemetry.snapshot(deterministic=True))
+    assert a.telemetry.snapshot() == b.telemetry.snapshot()
     assert (to_chrome_trace_json(a.telemetry)
             == to_chrome_trace_json(b.telemetry))
 

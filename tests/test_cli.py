@@ -47,8 +47,8 @@ def test_fig16b_runs(monkeypatch, capsys):
 
 
 def test_every_experiment_has_a_docstring():
-    for name, fn in EXPERIMENTS.items():
-        assert (fn.__doc__ or "").strip(), f"{name} lacks a docstring"
+    for name, row in EXPERIMENTS.items():
+        assert row.description.strip(), f"{name} lacks a description"
 
 
 def test_bench_writes_snapshot_and_gate_accepts_it(tmp_path, capsys):
