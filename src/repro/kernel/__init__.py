@@ -11,13 +11,3 @@ from repro.kernel.machine import Machine
 from repro.kernel.registry import Registration, RegistrationRegistry, VmMeta
 from repro.kernel.kernel import Kernel, RmapHandle
 from repro.kernel.remote_pager import RemoteVMA
-
-__all__ = [
-    "Machine",
-    "Kernel",
-    "RmapHandle",
-    "RemoteVMA",
-    "Registration",
-    "RegistrationRegistry",
-    "VmMeta",
-]

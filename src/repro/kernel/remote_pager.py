@@ -13,8 +13,7 @@ cited future-work direction), via a :class:`PteSource`.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
-                    Optional)
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from repro.errors import (MemoryError_, QpBroken, RemoteAccessError,
                           SegmentationFault)
@@ -138,55 +137,76 @@ class RemoteVMA(VMA):
 
     def handle_fault(self, space: "AddressSpace", vpn: int,
                      write: bool) -> PTE:
-        # by class: the base run handler of a subclass would call back here
-        (pte,) = RemoteVMA.handle_fault_run(self, space, vpn, 1, write)
-        return pte
-
-    def handle_fault_run(self, space: "AddressSpace", vpn: int, count: int,
-                         write: bool) -> Iterator[PTE]:
-        """Demand-fault *count* adjacent pages: a usable QP is checked and
-        its whole-page READ priced once for the run, but every page is
-        still its own READ at the full single-READ latency."""
-        charge, fault_ns = space.ledger.charge, space.cost.page_fault_ns
-        physical, map_page = space.physical, space.page_table.map
+        """Demand-fault one page, whatever it takes."""
+        space.ledger.charge(space.cost.page_fault_ns, "remote-fault")
         hub = _telemetry()
         lin = hub.lineage if hub is not None else None
-        read = None
-        for v in range(vpn, vpn + count):
-            charge(fault_ns, "remote-fault")
-            remote_pfn = self._ensure_pte(space, v)
-            if remote_pfn is None:
-                # never materialized at the producer: demand-zero locally
-                self.zero_fill_faults += 1
-                frame = physical.allocate()
-                if lin is not None:
-                    lin.page_pulled(self.name, space.name, v, "zero_fill", 0)
-            elif self.qp is None:
-                # same machine: share the producer's frame directly (CoW)
-                self.remote_faults += 1
-                frame = physical.get(remote_pfn)
-                if lin is not None:
-                    lin.page_pulled(self.name, space.name, v, "shared", 0)
-            else:
-                self.remote_faults += 1
-                self.pages_fetched += 1
-                if read is None and self.fetch_mode == FETCH_RDMA:
-                    try:
-                        read = self.qp.reader(space.ledger)
-                    except QpBroken:
-                        if not self.rpc_fallback:
-                            raise
-                        # transport degradation: the QP died, the producer
-                        # is still up — each page posts its READ, gets the
-                        # NAK and goes through the producer's CPU instead
-                        self.fallback_faults += 1
-                data = (read(remote_pfn) if read is not None
-                        else self._fetch_page_rpc(space, remote_pfn))
-                frame = physical.allocate_from(data)
-                if lin is not None:
-                    lin.page_pulled(self.name, space.name, v, "demand",
-                                    PAGE_SIZE, rpc=read is None)
-            yield map_page(v, frame.pfn, PTE_PRESENT | PTE_COW)
+        remote_pfn = self._ensure_pte(space, vpn)
+        if remote_pfn is None:
+            # never materialized at the producer: demand-zero locally
+            self.zero_fill_faults += 1
+            frame = space.physical.allocate()
+            if lin is not None:
+                lin.page_pulled(self.name, space.name, vpn, "zero_fill", 0)
+        elif self.qp is None:
+            # same machine: share the producer's frame directly (CoW)
+            self.remote_faults += 1
+            frame = space.physical.get(remote_pfn)
+            if lin is not None:
+                lin.page_pulled(self.name, space.name, vpn, "shared", 0)
+        else:
+            self.remote_faults += 1
+            self.pages_fetched += 1
+            pages = None  # stays so for the RPC baseline and a broken QP
+            if self.fetch_mode == FETCH_RDMA:
+                try:
+                    pages = self.qp.read_pages((remote_pfn,), space.ledger)
+                except QpBroken:
+                    if not self.rpc_fallback:
+                        raise
+                    # the QP died, the producer is up: through its CPU
+                    self.fallback_faults += 1
+            (frame,) = space.physical.allocate_run(
+                pages if pages is not None
+                else (bytearray(self._fetch_page_rpc(space, remote_pfn)),))
+            if lin is not None:
+                lin.page_pulled(self.name, space.name, vpn, "demand",
+                                PAGE_SIZE, rpc=pages is None)
+        return space.page_table.map(vpn, frame.pfn, PTE_PRESENT | PTE_COW)
+
+    def fault_run(self, space: "AddressSpace", vpn: int, count: int,
+                  write: bool) -> List[PTE]:
+        """Demand-fault the leading pages of a stretch in one step: READs
+        the QP checks and prices once (each still its own READ), or on
+        the same machine the producer's frames shared.  Left to
+        :meth:`handle_fault`: a write (each page breaks CoW before the
+        next faults), an installed hub, a page the snapshot does not name
+        (zero-fill, or an unfetched lazy PTE region), the RPC path, an
+        unusable QP, a producer frame gone, and no free frame."""
+        if write or _telemetry() is not None:
+            return [self.handle_fault(space, vpn, write)]
+        if self.qp is None:
+            source = space.physical
+        else:
+            remote = self.qp.peer() if self.fetch_mode == FETCH_RDMA else None
+            source = remote.physical if remote is not None else None
+            count = min(count, space.physical.capacity_frames
+                        - space.physical.used_frames)
+        pfns = source.resident_prefix(map(
+            self.snapshot.get, range(vpn, vpn + count))) if source else []
+        if not pfns:
+            return [self.handle_fault(space, vpn, write)]
+        space.ledger.charge(len(pfns) * space.cost.page_fault_ns,
+                            "remote-fault")
+        self.remote_faults += len(pfns)
+        if self.qp is None:
+            for pfn in pfns:
+                source.get(pfn)
+        else:
+            self.pages_fetched += len(pfns)
+            pfns = [frame.pfn for frame in space.physical.allocate_run(
+                self.qp.read_pages(pfns, space.ledger))]
+        return space.page_table.map_run(vpn, pfns, PTE_PRESENT | PTE_COW)
 
     def _fetch_page_rpc(self, space: "AddressSpace",
                         remote_pfn: int) -> bytes:
@@ -234,9 +254,8 @@ class RemoteVMA(VMA):
             seen.add(vpn)
             if vaddr not in self.range:
                 raise SegmentationFault(vaddr, "prefetch outside rmap range")
-            if space.page_table.lookup(vpn) is not None:
-                continue
-            if self._ensure_pte(space, vpn) is not None:
+            if space.page_table.lookup(vpn) is None \
+                    and self._ensure_pte(space, vpn) is not None:
                 wanted.append(vpn)
         if not wanted:
             return 0
@@ -256,8 +275,9 @@ class RemoteVMA(VMA):
                         [ReadRequest(self.snapshot[vpn]) for vpn in wanted],
                         space.ledger, category="rdma-prefetch")
                 else:
-                    read = self.qp.reader(space.ledger, "rdma-prefetch")
-                    pages = [read(self.snapshot[vpn]) for vpn in wanted]
+                    pages = self.qp.read_pages(
+                        [self.snapshot[vpn] for vpn in wanted],
+                        space.ledger, category="rdma-prefetch")
             except QpBroken:
                 if not self.rpc_fallback:
                     raise
@@ -267,8 +287,8 @@ class RemoteVMA(VMA):
             pages = [self._fetch_page_rpc(space, self.snapshot[vpn])
                      for vpn in wanted]
         for vpn, data in zip(wanted, pages):
-            space.page_table.map(vpn, space.physical.allocate_from(data).pfn,
-                                 PTE_PRESENT | PTE_COW)
+            (frame,) = space.physical.allocate_run((bytearray(data),))
+            space.page_table.map(vpn, frame.pfn, PTE_PRESENT | PTE_COW)
         self.pages_fetched += len(wanted)
         if lin is not None:
             for vpn in wanted:

@@ -7,40 +7,11 @@ layout mirrors the paper's setting: each function container owns a planned,
 disjoint slice of a 48-bit address space.
 """
 
-from repro.mem.layout import (
-    PAGE_SIZE,
-    PAGE_SHIFT,
-    USER_SPACE_TOP,
-    AddressRange,
-    SegmentLayout,
-    page_number,
-    page_round_down,
-    page_round_up,
-)
+from repro.mem.layout import (PAGE_SHIFT, PAGE_SIZE, USER_SPACE_TOP,
+                              AddressRange, SegmentLayout, page_number,
+                              page_round_down, page_round_up)
 from repro.mem.physical import Frame, PhysicalMemory
 from repro.mem.pagetable import PTE_COW, PTE_PRESENT, PTE_WRITE, PageTable, PTE
 from repro.mem.vma import VMA, AnonymousVMA
 from repro.mem.address_space import AddressSpace
 from repro.mem.allocator import HeapAllocator
-
-__all__ = [
-    "PAGE_SIZE",
-    "PAGE_SHIFT",
-    "USER_SPACE_TOP",
-    "AddressRange",
-    "SegmentLayout",
-    "page_number",
-    "page_round_down",
-    "page_round_up",
-    "Frame",
-    "PhysicalMemory",
-    "PageTable",
-    "PTE",
-    "PTE_PRESENT",
-    "PTE_WRITE",
-    "PTE_COW",
-    "VMA",
-    "AnonymousVMA",
-    "AddressSpace",
-    "HeapAllocator",
-]

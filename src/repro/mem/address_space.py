@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import AddressConflict, SegmentationFault
 from repro.mem.layout import AddressRange, SegmentLayout, page_number
@@ -94,62 +94,67 @@ class AddressSpace:
     def translate(self, vaddr: int, write: bool = False) -> PTE:
         """Resolve *vaddr* to a PTE, faulting in the page if needed."""
         pte = self.page_table.lookup(vaddr >> PAGE_SHIFT)
-        if pte is None or (write and pte.flags & _WRITE_BITS != PTE_WRITE):
-            (pte,) = self.translate_run(vaddr, 1, write)
-        else:
-            self.ledger.charge(self.cost.page_table_walk_ns, "mmu")
+        if pte is None:
+            return self.resolve_run(vaddr, 1, write)[0]
+        self.ledger.charge(self.cost.page_table_walk_ns, "mmu")
+        if write and pte.flags & _WRITE_BITS != PTE_WRITE:
+            pte = self._break_cow(vaddr, pte)
         return pte
 
-    def translate_run(self, vaddr: int, count: int,
-                      write: bool = False) -> Iterator[PTE]:
-        """The PTE of each of *count* adjacent pages from *vaddr*'s on:
-        the effects of *count* calls of :meth:`translate`, in order, each
-        page resolved only as its PTE is taken.  A stretch of missing
-        pages finds its VMA once and faults through ``handle_fault_run``;
-        walks of present pages are charged in one sum before each fault
-        (a handler may read the ledger) and when the run ends."""
-        lookup = self.page_table.lookup
+    def resolve_run(self, vaddr: int, count: int, write: bool = False,
+                    out: Optional[List[PTE]] = None) -> List[PTE]:
+        """*count* calls of :meth:`translate` on adjacent pages from
+        *vaddr*'s on, each PTE appended to *out* (a new list by default)
+        as it resolves, so a caller catching page *k*'s error finds the
+        pages before it there.  The span is looked up in one pass; each
+        stretch of missing pages goes to its VMA's ``fault_run`` whole
+        (a page at a time under a hub, whose records keep their order)."""
         charge, walk_ns = self.ledger.charge, self.cost.page_table_walk_ns
-        vpn = vaddr >> PAGE_SHIFT
-        end = vpn + count
-        walked = left = 0  # walks not yet charged; pages left in a stretch
-        try:
-            while vpn < end:
-                pte = lookup(vpn)
-                walked += 1
-                if pte is None:
-                    charge(walked * walk_ns, "mmu")
-                    walked = 0
-                    if not left:
-                        vma = self.find_vma(vaddr)
-                        if vma is None:
-                            raise SegmentationFault(vaddr)
-                        stop = min(end, page_number(vma.range.end - 1) + 1)
-                        left = 1
-                        while vpn + left < stop and lookup(vpn + left) is None:
-                            left += 1
-                        hub = _telemetry()
-                        run = vma.handle_fault_run(self, vpn, left, write)
-                    left -= 1
-                    self.fault_count += 1
-                    pte = next(run)
-                    if hub is not None:
-                        hub.count(self.name, "mem", "faults")
-                        hub.gauge_max(self.name, "mem", "resident.pages.hw",
-                                      len(self.page_table))
+        ptes = [] if out is None else out
+        vpn = first = vaddr >> PAGE_SHIFT
+        end = first + count
+        found = list(map(self.page_table.lookup, range(first, end)))
+        if None not in found and not (write and any(
+                pte.flags & _WRITE_BITS != PTE_WRITE for pte in found)):
+            charge(count * walk_ns, "mmu")
+            ptes += found
+            return ptes
+        hub, vma = _telemetry(), None
+        while vpn < end:
+            charge(walk_ns, "mmu")
+            run = (found[vpn - first],)
+            if run[0] is None:
+                if vma is None or vaddr not in vma.range:
+                    vma = self.find_vma(vaddr)
+                if vma is None:
+                    raise SegmentationFault(vaddr)
+                n, stop = 1, min(end, page_number(vma.range.end - 1) + 1)
+                while hub is None and vpn + n < stop \
+                        and found[vpn + n - first] is None:
+                    n += 1
+                self.fault_count += 1
+                run = vma.fault_run(self, vpn, n, write)
+                # nothing reads the ledger between one stretch's faults
+                charge((len(run) - 1) * walk_ns, "mmu")
+                self.fault_count += len(run) - 1
+                if hub is not None:
+                    hub.count(self.name, "mem", "faults")
+                    hub.gauge_max(self.name, "mem", "resident.pages.hw",
+                                  len(self.page_table))
+            for pte in run:
                 if write and pte.flags & _WRITE_BITS != PTE_WRITE:
-                    if not pte.cow:
-                        raise SegmentationFault(vaddr,
-                                                "write to read-only page")
-                    pte = self._break_cow(vpn, pte)
-                yield pte
+                    pte = self._break_cow(vaddr, pte)
+                ptes.append(pte)
                 vpn += 1
                 vaddr = vpn << PAGE_SHIFT
-        finally:
-            charge(walked * walk_ns, "mmu")
+        return ptes
 
-    def _break_cow(self, vpn: int, pte: PTE) -> PTE:
-        """Copy-on-write break: private copy of a shared frame."""
+    def _break_cow(self, vaddr: int, pte: PTE) -> PTE:
+        """A write to a page *pte* maps read-only: a private copy of the
+        frame if it is CoW, else a :class:`SegmentationFault`."""
+        if not pte.cow:
+            raise SegmentationFault(vaddr, "write to read-only page")
+        vpn = vaddr >> PAGE_SHIFT
         self.cow_break_count += 1
         old_pfn = pte.pfn
         frame = self.physical.duplicate(old_pfn)
@@ -177,11 +182,9 @@ class AddressSpace:
         """Do each ``(vaddr, data)`` write of *items*, in order.
 
         A chunk landing on the page the previous chunk translated reuses
-        that frame — nothing inside one call can unmap or re-protect a
-        page this call has just made writable — and the page-table walks
-        so skipped are charged in aggregate, never dropped: before the
-        next real walk (a fault handler may read the ledger) and when
-        the call ends.
+        that frame — nothing in one call can unmap or re-protect a page it
+        has just made writable — and the walks so skipped are charged in
+        one sum before the next real walk and when the call ends.
         """
         hub = _telemetry()
         lineage = hub.lineage if hub is not None else None
@@ -206,16 +209,23 @@ class AddressSpace:
                 self.ledger.charge(
                     skipped * self.cost.page_table_walk_ns, "mmu")
                 skipped = 0
-                pages = ((off + remaining - 1) >> PAGE_SHIFT) + 1
-                pos = 0
-                for pte in (self.translate_run(vaddr, pages, True)
-                            if pages > 1 else (self.translate(vaddr, True),)):
-                    frame_data = frame(pte.pfn).data
-                    chunk = min(remaining - pos, PAGE_SIZE - off)
-                    frame_data[off:off + chunk] = data[pos:pos + chunk]
-                    pos += chunk
-                    off = 0
                 last_vpn = (vaddr + remaining - 1) >> PAGE_SHIFT
+                if last_vpn == vaddr >> PAGE_SHIFT:
+                    frame_data = frame(self.translate(vaddr, True).pfn).data
+                    frame_data[off:off + remaining] = data
+                    continue
+                ptes: List[PTE] = []
+                try:
+                    self.resolve_run(vaddr, last_vpn - (vaddr >> PAGE_SHIFT)
+                                     + 1, True, ptes)
+                finally:  # the pages before a failing one are written
+                    data, pos = memoryview(data), 0  # gone with the item
+                    for pte in ptes:
+                        frame_data = frame(pte.pfn).data
+                        chunk = min(remaining - pos, PAGE_SIZE - off)
+                        frame_data[off:off + chunk] = data[pos:pos + chunk]
+                        pos += chunk
+                        off = 0
         finally:
             self.ledger.charge(skipped * self.cost.page_table_walk_ns, "mmu")
 
@@ -297,15 +307,13 @@ class PageCursor:
         # several pages, one run (a cached first page is simply present)
         self.flush()
         frame = space.physical.frame
-        out = bytearray()
-        for pte in space.translate_run(
-                vaddr, ((off + length - 1) >> PAGE_SHIFT) + 1):
-            data = frame(pte.pfn).data
-            out += data[off:off + length - len(out)]
-            off = 0
-        self._data = data
+        pages = [frame(pte.pfn).data for pte in space.resolve_run(
+            vaddr, ((off + length - 1) >> PAGE_SHIFT) + 1)]
+        self._data = last = pages[-1]
         self._vpn = (vaddr + length - 1) >> PAGE_SHIFT
-        return bytes(out)
+        pages[0] = memoryview(pages[0])[off:]
+        pages[-1] = memoryview(last)[:(off + length - 1) % PAGE_SIZE + 1]
+        return b"".join(pages)
 
     def flush(self) -> None:
         """Charge the walks skipped since the last real one."""

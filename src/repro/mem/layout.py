@@ -40,11 +40,6 @@ class AddressRange:
     def size(self) -> int:
         return self.end - self.start
 
-    @property
-    def num_pages(self) -> int:
-        return (page_round_up(self.end) - page_round_down(self.start)) \
-            >> PAGE_SHIFT
-
     def __contains__(self, vaddr: int) -> bool:
         return self.start <= vaddr < self.end
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import MemoryError_
 
@@ -36,11 +36,6 @@ class PTE:
         """Clear the write bit and set CoW (register_mem's marking step)."""
         self.flags = (self.flags | PTE_COW) & ~PTE_WRITE
 
-    def clear_cow(self, writable: bool = True) -> None:
-        self.flags &= ~PTE_COW
-        if writable:
-            self.flags |= PTE_WRITE
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         bits = "".join(b for b, f in (("P", PTE_PRESENT), ("W", PTE_WRITE),
                                       ("C", PTE_COW)) if self.flags & f)
@@ -61,11 +56,18 @@ class PageTable:
 
     def map(self, vpn: int, pfn: int,
             flags: int = PTE_PRESENT | PTE_WRITE) -> PTE:
-        if vpn in self._entries:
-            raise MemoryError_(f"vpn {vpn:#x} already mapped")
-        pte = PTE(pfn, flags)
-        self._entries[vpn] = pte
-        return pte
+        return self.map_run(vpn, (pfn,), flags)[0]
+
+    def map_run(self, vpn: int, pfns: Sequence[int],
+                flags: int) -> List[PTE]:
+        """Map ``len(pfns)`` adjacent pages from *vpn* on, all *flags*."""
+        entries, out = self._entries, []
+        for vpn, pfn in enumerate(pfns, vpn):
+            if vpn in entries:
+                raise MemoryError_(f"vpn {vpn:#x} already mapped")
+            entries[vpn] = pte = PTE(pfn, flags)
+            out.append(pte)
+        return out
 
     def remap(self, vpn: int, pfn: int, flags: int) -> PTE:
         """Replace an existing mapping (CoW break)."""

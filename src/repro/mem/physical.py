@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from itertools import takewhile
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import MemoryError_, OutOfMemory
 from repro.obs.telemetry import current as _telemetry
@@ -13,14 +14,15 @@ class Frame:
     """One 4 KB physical frame.
 
     ``refcount`` mirrors Linux's ``page_t`` counter: CoW sharing and the
-    kernel's shadow-copy pinning (Section 4.1) both bump it.
+    kernel's shadow-copy pinning (Section 4.1) both bump it.  ``data`` is
+    not copied: an RDMA READ may share it with the remote frame.
     """
 
     __slots__ = ("pfn", "data", "refcount")
 
-    def __init__(self, pfn: int, data: Optional[bytes] = None):
+    def __init__(self, pfn: int, data: Optional[bytearray] = None):
         self.pfn = pfn
-        self.data = bytearray(PAGE_SIZE if data is None else data)
+        self.data = bytearray(PAGE_SIZE) if data is None else data
         self.refcount = 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -52,15 +54,8 @@ class PhysicalMemory:
         return len(self._frames)
 
     @property
-    def used_bytes(self) -> int:
-        return self.used_frames * PAGE_SIZE
-
-    @property
     def peak_bytes(self) -> int:
         return self.peak_frames * PAGE_SIZE
-
-    def reset_peak(self) -> None:
-        self.peak_frames = self.used_frames
 
     def wipe(self) -> None:
         """Power loss: every frame vanishes regardless of refcount.
@@ -75,35 +70,39 @@ class PhysicalMemory:
 
     def allocate(self) -> Frame:
         """Allocate a zeroed frame with refcount 1."""
-        return self.allocate_from(None)
+        return self.allocate_run((bytearray(PAGE_SIZE),))[0]
 
-    def allocate_from(self, data: Optional[bytes]) -> Frame:
-        """Allocate a frame (refcount 1) holding a copy of *data* — a
-        fetched page, a CoW break's source; ``None`` gives zeroes."""
-        frames = self._frames
-        if len(frames) >= self.capacity_frames:
+    def allocate_run(self, buffers: Sequence[bytearray]) -> List[Frame]:
+        """One frame with refcount 1 per buffer, owning it (no copy), with
+        the pfns and records as many :meth:`allocate` calls would give —
+        or :class:`OutOfMemory`, allocating nothing, if they do not fit."""
+        frames, free, out = self._frames, self._free_pfns, []
+        if len(frames) + len(buffers) > self.capacity_frames:
             raise OutOfMemory(
                 f"physical memory exhausted ({self.capacity_frames} frames)")
-        if self._free_pfns:
-            pfn = self._free_pfns.pop()
-        else:
-            pfn = self._next_pfn
-            self._next_pfn += 1
-        frame = frames[pfn] = Frame(pfn, data)
-        used = len(frames)
         hub = _telemetry()
-        if used > self.peak_frames:
-            self.peak_frames = used
-            if hub is not None:
-                hub.gauge_max(self.owner, "mem", "frames.resident.hw", used)
-        if hub is not None and hub.timelines is not None:
-            # saturation-timeline feed only (triage residency series);
-            # gated so the allocator hot path stays gauge-free otherwise
-            hub.gauge(self.owner, "mem", "frames.resident", used)
-            if (self.owner, "mem", "frames.capacity") not in hub.gauges:
-                hub.gauge(self.owner, "mem", "frames.capacity",
-                          self.capacity_frames)
-        return frame
+        for data in buffers:
+            if free:
+                pfn = free.pop()
+            else:
+                pfn = self._next_pfn
+                self._next_pfn += 1
+            frames[pfn] = frame = Frame(pfn, data)
+            out.append(frame)
+            used = len(frames)
+            if used > self.peak_frames:
+                self.peak_frames = used
+                if hub is not None:
+                    hub.gauge_max(self.owner, "mem", "frames.resident.hw",
+                                  used)
+            if hub is not None and hub.timelines is not None:
+                # saturation-timeline feed only (triage residency series);
+                # gated so the allocator hot path stays gauge-free otherwise
+                hub.gauge(self.owner, "mem", "frames.resident", used)
+                if (self.owner, "mem", "frames.capacity") not in hub.gauges:
+                    hub.gauge(self.owner, "mem", "frames.capacity",
+                              self.capacity_frames)
+        return out
 
     def live_pfns(self) -> List[int]:
         """PFNs of every resident frame (for leak audits)."""
@@ -140,7 +139,7 @@ class PhysicalMemory:
 
     def duplicate(self, pfn: int) -> Frame:
         """CoW break: copy *pfn* into a fresh frame (refcount 1)."""
-        return self.allocate_from(self.frame(pfn).data)
+        return self.allocate_run((bytearray(self.frame(pfn).data),))[0]
 
     # --- raw access (physical addressing, used by the RDMA NIC) -------------
 
@@ -150,9 +149,8 @@ class PhysicalMemory:
             length = PAGE_SIZE - offset
         if not (0 <= offset and offset + length <= PAGE_SIZE):
             raise MemoryError_("frame read out of bounds")
-        return bytes(self.frame(pfn).data[offset:offset + length])
+        return bytes(memoryview(self.frame(pfn).data)[offset:offset + length])
 
-    def write_frame(self, pfn: int, data: bytes, offset: int = 0) -> None:
-        if offset + len(data) > PAGE_SIZE:
-            raise MemoryError_("frame write out of bounds")
-        self.frame(pfn).data[offset:offset + len(data)] = data
+    def resident_prefix(self, pfns: Iterable[Optional[int]]) -> List[int]:
+        """The leading *pfns* that name resident frames."""
+        return list(takewhile(self._frames.__contains__, pfns))

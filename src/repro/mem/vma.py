@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, List
 
 from repro.errors import SegmentationFault
 from repro.mem.layout import AddressRange
@@ -19,15 +19,15 @@ class VMA:
     Subclasses override :meth:`handle_fault` — the paper's "special (logical)
     device" hooking the fault handler is exactly such a subclass
     (:class:`repro.kernel.remote_pager.RemoteVMA`) — and may override
-    :meth:`handle_fault_run` to serve adjacent pages a run at a time.
+    :meth:`fault_run` to serve a stretch of missing pages in one step.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # a class overriding only the per-page handler must not inherit a
         # run handler that would fault pages without calling it
-        if "handle_fault" in vars(cls) and "handle_fault_run" not in vars(cls):
-            cls.handle_fault_run = VMA.handle_fault_run
+        if "handle_fault" in vars(cls) and "fault_run" not in vars(cls):
+            cls.fault_run = VMA.fault_run
 
     def __init__(self, rng: AddressRange, name: str = "vma",
                  writable: bool = True):
@@ -39,14 +39,14 @@ class VMA:
                      write: bool) -> PTE:
         raise NotImplementedError
 
-    def handle_fault_run(self, space: "AddressSpace", vpn: int, count: int,
-                         write: bool) -> Iterator[PTE]:
-        """The PTEs of *count* adjacent missing pages from *vpn* on, each
-        faulted only as its PTE is taken (the address space charges its
-        walk first, and breaks CoW on a write before the next): the
-        effects of *count* calls of :meth:`handle_fault`, in order."""
-        return (self.handle_fault(space, v, write)
-                for v in range(vpn, vpn + count))
+    def fault_run(self, space: "AddressSpace", vpn: int, count: int,
+                  write: bool) -> List[PTE]:
+        """Fault in a leading part — at least a page — of the *count*
+        adjacent missing pages from *vpn* on in one step, returning its
+        PTEs: the effects of as many :meth:`handle_fault` calls, charges
+        summed by category (*count* is 1 under a hub).  Only the first
+        page may fail; on a write, the rest must map writable."""
+        return [self.handle_fault(space, vpn, write)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<{type(self).__name__} {self.name!r} "
@@ -58,13 +58,22 @@ class AnonymousVMA(VMA):
 
     def handle_fault(self, space: "AddressSpace", vpn: int,
                      write: bool) -> PTE:
+        return AnonymousVMA.fault_run(self, space, vpn, 1, write)[0]
+
+    def fault_run(self, space: "AddressSpace", vpn: int, count: int,
+                  write: bool) -> List[PTE]:
+        """Zeroed pages, as many as there are frames for."""
         if write and not self.writable:
             raise SegmentationFault(vpn << PAGE_SHIFT,
                                     "write to read-only vma")
-        frame = space.physical.allocate()
-        flags = PTE_PRESENT | (PTE_WRITE if self.writable else 0)
-        space.ledger.charge(space.cost.page_fault_ns, "fault")
-        return space.page_table.map(vpn, frame.pfn, flags)
+        count = max(1, min(count, space.physical.capacity_frames
+                               - space.physical.used_frames))  # 0: OOM
+        frames = space.physical.allocate_run(
+            [bytearray(PAGE_SIZE) for _ in range(count)])
+        space.ledger.charge(count * space.cost.page_fault_ns, "fault")
+        return space.page_table.map_run(
+            vpn, [frame.pfn for frame in frames],
+            PTE_PRESENT | (PTE_WRITE if self.writable else 0))
 
 
 class FileVMA(VMA):
@@ -85,6 +94,7 @@ class FileVMA(VMA):
                                     "write to file-backed vma")
         offset = (vpn << PAGE_SHIFT) - self.range.start
         chunk = self.content[offset:offset + PAGE_SIZE]
-        frame = space.physical.allocate_from(chunk.ljust(PAGE_SIZE, b"\0"))
+        (frame,) = space.physical.allocate_run(
+            (bytearray(chunk).ljust(PAGE_SIZE, b"\0"),))
         space.ledger.charge(space.cost.page_fault_ns, "fault")
         return space.page_table.map(vpn, frame.pfn, PTE_PRESENT)

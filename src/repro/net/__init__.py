@@ -9,12 +9,3 @@ connect = 10 us, user-space connect = 10 ms, FaSST RPC ~ 10 us round-trip).
 from repro.net.fabric import Fabric
 from repro.net.rdma import QueuePair, RdmaNic, ReadRequest
 from repro.net.rpc import RpcEndpoint, RpcError
-
-__all__ = [
-    "Fabric",
-    "RdmaNic",
-    "QueuePair",
-    "ReadRequest",
-    "RpcEndpoint",
-    "RpcError",
-]

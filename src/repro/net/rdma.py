@@ -19,7 +19,7 @@ Only what the paper's co-design uses is modeled:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.errors import (Disconnected, MemoryError_, NetworkError, QpBroken,
                           RemoteAccessError)
@@ -100,35 +100,46 @@ class QueuePair:
     def read(self, req: ReadRequest, ledger: Ledger,
              category: str = "rdma-read") -> bytes:
         """One-sided READ: fetch remote physical bytes, charge *ledger*."""
-        return self.reader(ledger, category, req.length)(req.pfn, req.offset)
+        return bytes(self.read_pages((req.pfn,), ledger, category,
+                                     req.offset, req.length)[0])
 
-    def reader(self, ledger: Ledger, category: str = "rdma-read",
-               length: int = PAGE_SIZE) -> Callable[..., bytes]:
-        """Check the QP and price a *length*-byte READ once for a run of
-        them: each ``read(pfn, offset=0)`` is still a separate one-sided
-        READ at that full latency (only :meth:`read_batch` batches)."""
-        read_frame = self._check_usable(ledger).physical.read_frame
-        cost_ns = self.read_cost_ns(length)
-        hub = _telemetry()
-
-        def read(pfn: int, offset: int = 0) -> bytes:
-            try:
-                data = read_frame(pfn, offset, length)
-            except MemoryError_ as err:
-                self._fail_verb(ledger)
-                raise RemoteAccessError(
-                    f"READ of pfn {pfn} on {self.remote_mac!r}: remote "
-                    f"memory invalid ({err})") from err
-            ledger.charge(cost_ns, category)
-            self.reads_posted += 1
-            self.bytes_read += length
+    def read_pages(self, pfns: Sequence[int], ledger: Ledger,
+                   category: str = "rdma-read", offset: int = 0,
+                   length: int = PAGE_SIZE) -> List[bytearray]:
+        """READs of *length* bytes at *offset* of each of *pfns*, each its
+        own one-sided READ at the full single-READ latency, the QP checked
+        and priced once.  A whole page comes back by reference — the
+        remote frame's own buffer, which the caller must not write — when
+        no PTE can write that frame in place any more: one given a second
+        reference (a registration's pin, a CoW share) is mapped CoW
+        wherever it is mapped.  A single-reference frame may be a reused
+        pfn's private page, and is copied."""
+        physical = self._check_usable(ledger).physical
+        out, error = [], None
+        try:
+            for pfn in pfns:
+                frame = physical.frame(pfn)
+                out.append(frame.data if frame.refcount > 1
+                           and length == PAGE_SIZE else
+                           bytearray(physical.read_frame(pfn, offset, length)))
+        except MemoryError_ as err:
+            error = err
+        cost_ns, hub = self.read_cost_ns(length), _telemetry()
+        # in one sum unless a hub records each READ at its ledger offset
+        for n in [len(out)] if hub is None else [1] * len(out):
+            ledger.charge(n * cost_ns, category)
+            self.reads_posted += n
+            self.bytes_read += n * length
             if hub is not None:
                 self._observe_reads(hub, 1, length, cost_ns)
                 hub.op(self.nic.mac_addr, "net.rdma", "read", ledger,
                        cost_ns, remote=self.remote_mac, bytes=length)
-            return data
-
-        return read
+        if error is not None:
+            self._fail_verb(ledger)
+            raise RemoteAccessError(
+                f"READ of pfn {pfn} on {self.remote_mac!r}: remote "
+                f"memory invalid ({error})") from error
+        return out
 
     def read_batch(self, requests: List[ReadRequest], ledger: Ledger,
                    category: str = "rdma-read") -> List[bytes]:
@@ -198,6 +209,16 @@ class QueuePair:
         hub = _telemetry()
         if hub is not None:
             hub.count(self.nic.mac_addr, "net.rdma", "verbs.failed")
+
+    def peer(self) -> Optional["Machine"]:
+        """The remote machine if a verb would reach it now: a
+        :meth:`_check_usable` that charges and breaks nothing."""
+        try:
+            remote = self.nic.fabric.machine(self.remote_mac)
+        except Disconnected:
+            return None
+        return remote if self.connected and not self.broken and \
+            remote.incarnation == self.remote_incarnation else None
 
     def _check_usable(self, ledger: Ledger) -> "Machine":
         """Resolve the remote machine, surfacing failures as typed errors

@@ -27,13 +27,14 @@ def estimate_payload_bytes(payload: Any) -> int:
     """A cheap structural size estimate used only for wire-time accounting."""
     if payload is None:
         return 0
-    if isinstance(payload, (bytes, bytearray, memoryview)):
-        return len(payload)
-    if isinstance(payload, str):
+    if isinstance(payload, (bytes, bytearray, memoryview, str)):
         return len(payload)
     if isinstance(payload, (int, float, bool)):
         return 8
     if isinstance(payload, dict):
+        if {int} >= set(map(type, payload)) | set(map(type, payload.values())):
+            # a page-table snapshot: 8 + 8 bytes an entry, by construction
+            return 16 * len(payload) + 16
         return sum(estimate_payload_bytes(k) + estimate_payload_bytes(v)
                    for k, v in payload.items()) + 16
     if isinstance(payload, (list, tuple, set)):

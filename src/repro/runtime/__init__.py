@@ -25,16 +25,3 @@ from repro.runtime.serializer import SerializedState, Serializer
 from repro.runtime.traverse import ObjectTraverser
 from repro.runtime.values import (DataFrameValue, ImageValue, MLModelValue,
                                   NdArrayValue)
-
-__all__ = [
-    "ManagedHeap",
-    "TypeTag",
-    "Serializer",
-    "SerializedState",
-    "ObjectTraverser",
-    "RemoteRoot",
-    "NdArrayValue",
-    "DataFrameValue",
-    "ImageValue",
-    "MLModelValue",
-]

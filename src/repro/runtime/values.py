@@ -146,8 +146,8 @@ class MLModelValue:
         tree by tree as a row-at-a-time sum would: the same floats."""
         rows = np.asarray(rows)
         margins = np.zeros(len(rows))
-        for tree in self.trees:
-            margins += tree.predict_rows(rows)
+        for leaves in leaf_values(self.trees, rows):
+            margins += leaves
         return margins
 
     def predict_margin(self, x: np.ndarray) -> float:
@@ -197,18 +197,8 @@ class TreeValue:
                 + self.left.nbytes + self.right.nbytes + self.value.nbytes)
 
     def predict_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The leaf value each row of *rows* reaches, all rows walked one
-        tree level at a time."""
-        rows = np.asarray(rows)
-        node = np.zeros(len(rows), dtype=np.intp)
-        active = np.flatnonzero(self.feature[node] >= 0)
-        while active.size:
-            at = node[active]
-            goes_left = rows[active, self.feature[at]] <= self.threshold[at]
-            at = np.where(goes_left, self.left[at], self.right[at])
-            node[active] = at
-            active = active[self.feature[at] >= 0]
-        return self.value[node]
+        """The leaf value each row of *rows* reaches."""
+        return leaf_values([self], np.asarray(rows))[0]
 
     def predict(self, x: np.ndarray) -> float:
         return float(self.predict_rows(np.asarray(x)[None])[0])
@@ -223,3 +213,30 @@ class TreeValue:
 
     def __hash__(self):  # pragma: no cover
         return id(self)
+
+
+def leaf_values(trees: Sequence[TreeValue], rows: np.ndarray) -> np.ndarray:
+    """The ``(len(trees), len(rows))`` leaf values the rows reach: every
+    walk goes a level at a time in one pass over the nodes a walk can
+    reach (a padded tree's unreachable tail is never copied)."""
+    if not trees:
+        return np.zeros((0, len(rows)))
+    reach = [1 + max(t.left.max(), t.right.max()) if t.n_nodes else 1
+             for t in trees]
+    if len(trees) > 1 and any(r > t.n_nodes for r, t in zip(reach, trees)):
+        # a child index past a tree's end must fail in that tree's walk
+        return np.array([leaf_values([t], rows)[0] for t in trees])
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(t, name)[:r] for t, r in zip(trees, reach)])
+        for name in ("feature", "threshold", "left", "right", "value"))
+    root = np.repeat(np.cumsum([0] + reach[:-1]), len(rows))
+    row = np.tile(np.arange(len(rows)), len(trees))
+    node = root.copy()
+    active = np.flatnonzero(feature[node] >= 0)
+    while active.size:
+        at = node[active]
+        goes_left = rows[row[active], feature[at]] <= threshold[at]
+        at = np.where(goes_left, left[at], right[at]) + root[active]
+        node[active] = at
+        active = active[feature[at] >= 0]
+    return value[node].reshape(len(trees), len(rows))

@@ -21,15 +21,3 @@ from repro.workloads.finra import build_finra
 from repro.workloads.ml_training import build_ml_training
 from repro.workloads.ml_prediction import build_ml_prediction
 from repro.workloads.wordcount import build_wordcount
-
-__all__ = [
-    "make_trades",
-    "make_market_data",
-    "make_audit_rules",
-    "make_images",
-    "make_book_text",
-    "build_finra",
-    "build_ml_training",
-    "build_ml_prediction",
-    "build_wordcount",
-]

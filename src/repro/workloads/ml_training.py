@@ -40,9 +40,10 @@ _PCA_NS_PER_CELL = 6
 
 def images_to_matrix(images: List[ImageValue]) -> np.ndarray:
     """Stack grayscale images into an (n, pixels) float matrix."""
-    rows = [np.frombuffer(img.pixels, dtype=np.uint8).astype(np.float64)
-            for img in images]
-    return np.vstack(rows) / 255.0
+    if not images or len({img.nbytes for img in images}) != 1:
+        raise ValueError("images_to_matrix needs images of one size")
+    pixels = np.frombuffer(b"".join(img.pixels for img in images), np.uint8)
+    return pixels.reshape(len(images), -1).astype(np.float64) / 255.0
 
 
 def fit_pca(matrix: np.ndarray,

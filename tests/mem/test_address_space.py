@@ -139,7 +139,6 @@ def test_address_range_validation_and_ops():
         AddressRange(10, 10)
     r = AddressRange(0x1000, 0x3000)
     assert r.size == 0x2000
-    assert r.num_pages == 2
     assert 0x1000 in r and 0x3000 not in r
     assert r.overlaps(AddressRange(0x2000, 0x4000))
     assert not r.overlaps(AddressRange(0x3000, 0x4000))

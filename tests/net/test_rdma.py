@@ -1,6 +1,7 @@
 """Unit tests for the fabric, RDMA verbs and RPC."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import Disconnected, NetworkError
 from repro.kernel.machine import Machine, make_cluster
@@ -9,6 +10,8 @@ from repro.net.rpc import RpcError, estimate_payload_bytes
 from repro.sim import Engine
 from repro.sim.ledger import Ledger
 from repro.units import DEFAULT_COST_MODEL, PAGE_SIZE, us
+
+from ..parent_reference import estimate_payload_bytes_recursive
 
 
 @pytest.fixture()
@@ -189,3 +192,30 @@ def test_payload_size_estimate():
     assert estimate_payload_bytes(7) == 8
     assert estimate_payload_bytes({"k": b"1234"}) > 4
     assert estimate_payload_bytes([1, 2, 3]) >= 24
+
+
+snapshots = st.dictionaries(st.integers(0, 1 << 40), st.integers(0, 1 << 40),
+                            max_size=300)
+leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                   st.binary(max_size=20), st.text(max_size=20))
+payloads = st.recursive(
+    leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=5), st.tuples(inner, inner),
+        st.dictionaries(st.one_of(st.integers(), st.booleans(),
+                                  st.text(max_size=5)), inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=80, deadline=None)
+@given(snapshot=snapshots, extra=payloads)
+def test_payload_estimate_prices_a_snapshot_as_the_recursive_walk(snapshot,
+                                                                  extra):
+    """A ``{vpn: pfn}`` snapshot is priced ``16 + 16 n`` without walking
+    it; that must be exactly what the entry-by-entry estimate gives, for
+    the auth reply it rides in and for any other payload."""
+    reply = {"vm_start": 0, "vm_end": 1 << 30, "snapshot": snapshot,
+             "extra_pages": 3}
+    for payload in (snapshot, reply, extra, {"nested": [snapshot, extra]}):
+        assert estimate_payload_bytes(payload) == \
+            estimate_payload_bytes_recursive(payload)
+    assert estimate_payload_bytes(snapshot) == 16 + 16 * len(snapshot)

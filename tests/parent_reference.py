@@ -21,6 +21,7 @@ physical memory they used to be methods of as their first argument.
 """
 
 import struct
+import sys
 from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -988,6 +989,56 @@ def _child_indices(heap, tag: TypeTag, payload: bytes, skip: int,
             queue.append(("obj", ptr))
         indices.append(idx)
     return enc.pack_pointers(indices)
+
+
+def predict_rows_per_tree(tree, rows) -> np.ndarray:
+    """``TreeValue.predict_rows`` as it was: one tree, its rows walked a
+    level at a time over the tree's own arrays."""
+    rows = np.asarray(rows)
+    node = np.zeros(len(rows), dtype=np.intp)
+    active = np.flatnonzero(tree.feature[node] >= 0)
+    while active.size:
+        at = node[active]
+        goes_left = rows[active, tree.feature[at]] <= tree.threshold[at]
+        at = np.where(goes_left, tree.left[at], tree.right[at])
+        node[active] = at
+        active = active[tree.feature[at] >= 0]
+    return tree.value[node]
+
+
+def predict_margins_per_tree(model, rows) -> np.ndarray:
+    """``MLModelValue.predict_margins`` as it was: one walk per tree,
+    accumulated tree by tree."""
+    rows = np.asarray(rows)
+    margins = np.zeros(len(rows))
+    for tree in model.trees:
+        margins += predict_rows_per_tree(tree, rows)
+    return margins
+
+
+def images_to_matrix_per_image(images) -> np.ndarray:
+    """``images_to_matrix`` as it was: one row array per image, stacked."""
+    rows = [np.frombuffer(img.pixels, dtype=np.uint8).astype(np.float64)
+            for img in images]
+    return np.vstack(rows) / 255.0
+
+
+def estimate_payload_bytes_recursive(payload) -> int:
+    """``net.rpc.estimate_payload_bytes`` as it was: every dict entry
+    estimated on its own, recursively."""
+    if payload is None:
+        return 0
+    if isinstance(payload, (bytes, bytearray, memoryview, str)):
+        return len(payload)
+    if isinstance(payload, (int, float, bool)):
+        return 8
+    if isinstance(payload, dict):
+        return sum(estimate_payload_bytes_recursive(k)
+                   + estimate_payload_bytes_recursive(v)
+                   for k, v in payload.items()) + 16
+    if isinstance(payload, (list, tuple, set)):
+        return sum(estimate_payload_bytes_recursive(v) for v in payload) + 16
+    return sys.getsizeof(payload)
 
 
 def predict_per_row(tree, x) -> float:

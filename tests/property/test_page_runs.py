@@ -1,16 +1,19 @@
-"""Differential tests: the page-run fault path against the per-page code
+"""Differential tests: the stretch fault path against the per-page code
 it replaced.
 
 ``tests/parent_reference.py`` keeps the old chain — one ``translate`` ->
 ``find_vma`` -> ``handle_fault`` -> ``qp.read`` -> ``allocate`` -> ``map``
-per page.  Every test here builds the same world twice, runs a generated
-script of reads and write batches through the reference on one and
-through ``AddressSpace.read`` / ``PageCursor`` / ``write_batch`` on the
-other, and requires everything observable to be equal: each op's bytes or
-failure, the page table with its flags, every frame's bytes, pfns and the
-free list, fault / CoW-break / pager / QP counters, the ledger by category
-and its pending charge — also as every spy fault and every recorded verb
-saw it — and, with a hub installed, the hub's whole state.
+per page, every fetched page copied.  Every test here builds the same
+world twice, runs a generated script of reads and write batches through
+the reference on one and through ``AddressSpace.read`` / ``PageCursor`` /
+``write_batch`` — ``resolve_run`` handing each stretch of missing pages to
+``VMA.fault_run`` — on the other, and requires everything observable to
+be equal: each op's bytes or failure, the page table with its flags,
+every frame's bytes, pfns and the free list, fault / CoW-break / pager /
+QP counters, the ledger by category and its pending charge — also as
+every spy fault and every recorded verb saw it — and, with a hub, lineage
+and timelines installed, the hub's whole state.  Every world runs both
+with and without a hub: without one, stretches are served in one step.
 
 Tier-1 runs each property on a small budget; CI runs this file again with
 ``--hypothesis-profile=differential-ci`` (see ``conftest.py``).
@@ -20,7 +23,7 @@ import inspect
 from contextlib import nullcontext
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.errors import ReproError
 from repro.kernel.kernel import PT_EAGER, PT_ONDEMAND
@@ -157,17 +160,22 @@ def local_scripts(pages: int):
                     min_size=1, max_size=6)
 
 
-@budget(60)
-@given(world=local_worlds, script=local_scripts(LOCAL_PAGES + 2))
-def test_reads_and_write_batches_equal_the_per_page_path(world, script):
-    seen = []
-    for reference in (True, False):
+def local_run(world, script, reference: bool, observed: bool):
+    hub, installed = hubs(observed)
+    with installed:
         space, vmas = build_local(world)
         outcomes = run_script(space, script, reference)
-        seen.append((outcomes, space_state(space),
-                     physical_state(space.physical),
-                     [getattr(vma, "pending", None) for vma in vmas]))
-    assert seen[1] == seen[0]
+    return (outcomes, space_state(space), physical_state(space.physical),
+            [getattr(vma, "pending", None) for vma in vmas], hub_state(hub))
+
+
+@budget(60)
+@given(world=local_worlds, script=local_scripts(LOCAL_PAGES + 2),
+       observed=st.booleans())
+def test_reads_and_write_batches_equal_the_per_page_path(world, script,
+                                                         observed):
+    assert local_run(world, script, False, observed) == \
+        local_run(world, script, True, observed)
 
 
 @budget(30)
@@ -219,7 +227,7 @@ class AuditedRemoteVMA(RemoteVMA):
 
 
 def test_a_remote_vma_subclass_still_sees_every_fault():
-    assert AuditedRemoteVMA.handle_fault_run is VMA.handle_fault_run
+    assert AuditedRemoteVMA.fault_run is VMA.fault_run
     world = {"same_machine": False, "fetch_mode": FETCH_RDMA,
              "page_table_mode": PT_EAGER, "rpc_fallback": False,
              "absent": {3}, "gone": set(), "qp": "ok", "spare": None}
@@ -362,22 +370,23 @@ def hubs(observed: bool):
     return hub, capture(hub) if observed else nullcontext()
 
 
+def remote_run(world, script, reference: bool, observed: bool):
+    hub, installed = hubs(observed)
+    with installed:
+        producer, consumer, vma = build_remote(world)
+        outcomes = run_script(consumer, script, reference)
+        if reference:
+            unmap_vma_per_page(consumer, vma)
+        else:
+            consumer.unmap_vma(vma)
+    return outcomes, remote_state(producer, consumer, vma), hub_state(hub)
+
+
 @budget(60)
 @given(world=remote_worlds, script=remote_scripts(), observed=st.booleans())
 def test_remote_faults_equal_the_per_page_pager(world, script, observed):
-    seen = []
-    for reference in (True, False):
-        hub, installed = hubs(observed)
-        with installed:
-            producer, consumer, vma = build_remote(world)
-            outcomes = run_script(consumer, script, reference)
-            if reference:
-                unmap_vma_per_page(consumer, vma)
-            else:
-                consumer.unmap_vma(vma)
-        seen.append((outcomes, remote_state(producer, consumer, vma),
-                     hub_state(hub)))
-    assert seen[1] == seen[0]
+    assert remote_run(world, script, False, observed) == \
+        remote_run(world, script, True, observed)
 
 
 @budget(25)
@@ -393,3 +402,195 @@ def test_simulated_results_are_identical_hub_on_and_off(world, script):
             outcomes = run_script(consumer, script, reference=False)
         seen.append((outcomes, remote_state(producer, consumer, vma)))
     assert seen[1] == seen[0]
+
+
+# --- named worlds: every way a stretch is served, or left to the page ------------------
+
+LOCAL = {"split": 48, "second_writable": True, "spy": None, "fail_at": None,
+         "resident": set(), "cow": set(), "pinned": set(), "spare": None}
+REMOTE = {"same_machine": False, "fetch_mode": FETCH_RDMA,
+          "page_table_mode": PT_EAGER, "rpc_fallback": False,
+          "absent": set(), "gone": set(), "qp": "ok", "spare": None}
+
+
+def local_span(first: int, pages: int, off: int = 100):
+    return BASE + first * PAGE_SIZE + off, pages * PAGE_SIZE - 2 * off
+
+
+def remote_span(first: int, pages: int, off: int = 100):
+    return (BASE + window(first) * PAGE_SIZE + off,
+            pages * PAGE_SIZE - 2 * off)
+
+
+def fill(span, byte: int = 0x5A):
+    return span[0], bytes([byte]) * span[1]
+
+
+#: (name, world, script, whether a fault_run serves more than one page
+#: when no hub is installed)
+NAMED_WORLDS = [
+    ("present and missing pages mixed", "local",
+     dict(LOCAL, resident={3, 5, 6, 21}),
+     [("reads", [local_span(0, 12)]), ("writes", [fill(local_span(18, 9))])],
+     True),
+    ("a write into a read-only vma", "local",
+     dict(LOCAL, split=4, second_writable=False, resident={6}),
+     [("reads", [local_span(8, 4)]), ("writes", [fill(local_span(1, 7))])],
+     True),
+    ("a write over read-only pages already present", "local",
+     dict(LOCAL, split=4, second_writable=False),
+     [("reads", [local_span(4, 6)]), ("writes", [fill(local_span(5, 3))])],
+     True),
+    ("out of frames mid-stretch", "local", dict(LOCAL, spare=3),
+     [("writes", [fill(local_span(1, 8))])], True),
+    ("a CoW-marked pinned page inside a write", "local",
+     dict(LOCAL, resident={4, 5}, cow={4, 5}, pinned={5}),
+     [("writes", [fill(local_span(2, 6))])], True),
+    ("a lazy PTE region boundary inside a stretch", "remote",
+     dict(REMOTE, page_table_mode=PT_ONDEMAND),
+     [("reads", [remote_span(14, 12)]), ("reads", [remote_span(30, 10)])],
+     True),
+    ("same-machine stretches", "remote", dict(REMOTE, same_machine=True),
+     [("reads", [remote_span(2, 9)]), ("writes", [fill(remote_span(4, 3))])],
+     True),
+    ("zero-fill pages inside a stretch", "remote",
+     dict(REMOTE, absent={5, 6, 11}),
+     [("reads", [remote_span(2, 14)])], True),
+    ("a producer frame gone inside a stretch", "remote",
+     dict(REMOTE, gone={7}), [("reads", [remote_span(3, 9)])], True),
+    ("a broken QP without fallback", "remote", dict(REMOTE, qp="broken"),
+     [("reads", [remote_span(2, 6)])], False),
+    ("a broken QP with fallback", "remote",
+     dict(REMOTE, qp="broken", rpc_fallback=True),
+     [("reads", [remote_span(2, 6)])], False),
+    ("a stale QP without fallback", "remote", dict(REMOTE, qp="stale"),
+     [("reads", [remote_span(2, 6)])], False),
+    ("a stale QP with fallback", "remote",
+     dict(REMOTE, qp="stale", rpc_fallback=True),
+     [("reads", [remote_span(2, 6)])], False),
+    ("the RPC fetch path", "remote", dict(REMOTE, fetch_mode=FETCH_RPC),
+     [("reads", [remote_span(2, 6)])], False),
+    ("a consumer out of frames mid-stretch", "remote", dict(REMOTE, spare=4),
+     [("reads", [remote_span(2, 9)])], True),
+    ("a write into rmapped pages", "remote", REMOTE,
+     [("writes", [fill(remote_span(2, 6))]), ("reads", [remote_span(1, 8)])],
+     False),
+]
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["plain", "hub"])
+@pytest.mark.parametrize("name, kind, world, script, stretches", NAMED_WORLDS,
+                         ids=[w[0] for w in NAMED_WORLDS])
+def test_each_named_world_equals_the_per_page_path(name, kind, world, script,
+                                                   stretches, observed,
+                                                   monkeypatch):
+    served = []
+    for cls in (AnonymousVMA, RemoteVMA):
+        def spy(self, space, vpn, count, write, _own=cls.fault_run):
+            run = _own(self, space, vpn, count, write)
+            served.append(len(run))
+            return run
+        monkeypatch.setattr(cls, "fault_run", spy)
+    run = local_run if kind == "local" else remote_run
+    assert run(world, script, False, observed) == \
+        run(world, script, True, observed)
+    # the shipped side ran second: what its stretches were served in
+    assert (max(served, default=0) > 1) == (stretches and not observed)
+
+
+# --- pages moved by reference ---------------------------------------------------------
+
+def two_machines():
+    """A producer with 12 registered pages, an rmapped consumer, and a
+    third space on the producer's machine that may reuse freed pfns."""
+    engine = Engine()
+    _fabric, (m0, m1) = make_cluster(engine, 2)
+    producer = AddressSpace(m0.physical, name="producer")
+    rng = AddressRange(BASE, BASE + 12 * PAGE_SIZE)
+    producer.map_vma(AnonymousVMA(rng, name="producer-heap"))
+    for page in range(12):
+        producer.write(BASE + page * PAGE_SIZE, bytes([page + 1]) * PAGE_SIZE)
+    m0.kernel.register_mem(producer, "state", 7, rng.start, rng.end)
+    consumer = AddressSpace(m1.physical, name="consumer")
+    m1.kernel.rmap(consumer, "mac0", "state", 7)
+    other = AddressSpace(m0.physical, name="other")
+    other.map_vma(AnonymousVMA(AddressRange(LOCAL_BASE,
+                                            LOCAL_BASE + 12 * PAGE_SIZE)))
+    return m0, producer, consumer, other
+
+
+sharing_ops = st.one_of(
+    st.tuples(st.just("produce"), st.integers(0, 11), st.integers(1, 255)),
+    st.tuples(st.just("consume"), st.integers(0, 11), st.integers(1, 11)),
+    st.tuples(st.just("consumer_write"), st.integers(0, 11),
+              st.integers(1, 255)),
+    st.tuples(st.just("deregister")),
+    st.tuples(st.just("reuse"), st.integers(0, 11), st.integers(1, 255)),
+    st.tuples(st.just("wipe")))
+
+
+def visible(space):
+    """Every mapped page's bytes as the space sees them (``None`` where
+    its frame is gone)."""
+    frames = space.physical._frames
+    return {vpn: frames[pfn].data[:] if pfn in frames else None
+            for vpn, pfn in space.page_table.snapshot(0, 1 << 52).items()}
+
+
+def run_sharing(script, reference: bool):
+    m0, producer, consumer, other = two_machines()
+    read = read_per_page if reference else AddressSpace.read
+    write = write_per_page if reference else AddressSpace.write
+    outcomes = []
+    for op, *args in script:
+        if op == "produce":
+            page, byte = args
+            call = (lambda: write(producer, BASE + page * PAGE_SIZE + 64,
+                                  bytes([byte]) * 512))
+        elif op == "consume":
+            page, pages = args
+            call = (lambda: read(consumer, BASE + page * PAGE_SIZE + 8,
+                                 min(pages, 12 - page) * PAGE_SIZE - 16))
+        elif op == "consumer_write":
+            page, byte = args
+            call = (lambda: write(consumer, BASE + page * PAGE_SIZE + 32,
+                                  bytes([byte]) * 64))
+        elif op == "deregister":
+            call = (lambda: m0.kernel.deregister_mem("state", 7))
+        elif op == "reuse":  # a new page, then an in-place write to it
+            page, byte = args
+            call = (lambda: [write(other, LOCAL_BASE + page * PAGE_SIZE,
+                                   bytes([byte]) * PAGE_SIZE),
+                             write(other, LOCAL_BASE + page * PAGE_SIZE,
+                                   bytes([byte ^ 0xFF]) * 8)])
+        else:
+            call = m0.physical.wipe
+        outcomes.append(outcome(call))
+        outcomes.append(outcome(lambda: (visible(consumer),
+                                         visible(producer), visible(other))))
+    return outcomes
+
+
+@budget(40)
+@given(script=st.lists(sharing_ops, min_size=1, max_size=10))
+@example(script=[("deregister",), ("produce", 4, 9), ("reuse", 0, 3),
+                 ("consume", 4, 1), ("reuse", 0, 5), ("consume", 3, 3)])
+@example(script=[("consume", 0, 12), ("produce", 2, 7),
+                 ("consumer_write", 2, 8), ("wipe",), ("consume", 0, 12)])
+def test_frames_filled_by_reference_read_what_copies_would(script):
+    """A READ hands the consumer's frame the producer frame's buffer: each
+    side must still see exactly what the copying path shows it, across
+    producer writes after ``register_mem``, consumer writes into rmapped
+    pages, deregistration, a freed pfn reused and written in place, and a
+    machine wipe."""
+    assert run_sharing(script, False) == run_sharing(script, True)
+
+
+def test_a_page_read_by_reference_shares_the_producer_buffer():
+    m0, producer, consumer, _other = two_machines()
+    consumer.read(BASE + 8, 3 * PAGE_SIZE)
+    for page in range(3):
+        vpn = BASE // PAGE_SIZE + page
+        mine = consumer.physical.frame(consumer.page_table.lookup(vpn).pfn)
+        theirs = m0.physical.frame(producer.page_table.lookup(vpn).pfn)
+        assert mine.data is theirs.data

@@ -15,7 +15,10 @@ from repro.workloads.ml_training import (binary_labels, fit_pca, grow_tree,
                                          images_to_matrix, pca_transform,
                                          predict_margins, reference_basis)
 
-from ..parent_reference import predict_margin_per_row, predict_per_row
+from ..parent_reference import (images_to_matrix_per_image,
+                                predict_margin_per_row,
+                                predict_margins_per_tree, predict_per_row,
+                                predict_rows_per_tree)
 
 
 def test_images_to_matrix_shape_and_scale():
@@ -23,6 +26,16 @@ def test_images_to_matrix_shape_and_scale():
     matrix = images_to_matrix(images)
     assert matrix.shape == (10, 28 * 28)
     assert 0.0 <= matrix.min() and matrix.max() <= 1.0
+
+
+def test_images_to_matrix_is_the_per_image_stack():
+    images, _ = make_images(7, seed=3)
+    assert np.array_equal(images_to_matrix(images),
+                          images_to_matrix_per_image(images))
+    with pytest.raises(ValueError):
+        images_to_matrix(images[:2] + make_images(1, side=20, seed=3)[0])
+    with pytest.raises(ValueError):
+        images_to_matrix([])
 
 
 def test_binary_labels_partition():
@@ -176,6 +189,25 @@ def test_many_rows_predict_equals_the_per_row_walk(case):
             assert tree.predict(x) == predict_per_row(tree, x)
     for x in rows[:2]:
         assert model.predict_margin(x) == predict_margin_per_row(model, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensembles(), st.booleans())
+def test_one_pass_over_all_trees_equals_the_per_tree_walk(case, padded):
+    """All trees walked in one pass give each tree's own leaves and the
+    same margins, bit for bit: ragged ensembles, single-leaf trees, zero
+    rows, no trees, and (*padded*) every tree padded to one node count
+    with unreachable leaves, as the serving model is."""
+    model, rows = case
+    if padded and model.trees:
+        size = max(t.n_nodes for t in model.trees) + 2
+        model = MLModelValue([_pad_tree(t, size) for t in model.trees],
+                             model.n_features)
+    assert np.array_equal(predict_margins(model, rows),
+                          predict_margins_per_tree(model, rows))
+    for tree in model.trees:
+        assert np.array_equal(tree.predict_rows(rows),
+                              predict_rows_per_tree(tree, rows))
 
 
 def _result_digest(result: dict) -> str:
