@@ -71,15 +71,8 @@ class BaseRunResult:
         loadable by inferno / flamegraph.pl / speedscope).  Merges every
         causal trace the hub holds."""
         hub = self._require_telemetry()
-        tids = obs.trace_ids(hub)
-        if not tids:
-            # don't write an empty flamegraph silently when span
-            # sampling (not absence of telemetry) dropped the traces
-            hint = obs.sampling_diagnostic(hub)
-            if hint is not None:
-                raise ValueError(hint)
         merged: Dict[Tuple[str, ...], int] = {}
-        for tid in tids:
+        for tid in obs.trace_ids(hub):
             folded = obs.folded_stacks(obs.build_span_tree(hub,
                                                            trace_id=tid))
             for stack, ns in obs.parse_folded(folded).items():
@@ -98,7 +91,7 @@ class BaseRunResult:
         obs.write_chrome_trace(self._require_telemetry(), path,
                                monitor=getattr(self, "monitor", None))
 
-    def triage(self, specs=None) -> Dict[str, Any]:
+    def triage(self) -> Dict[str, Any]:
         """Auto-triage every monitor alert into a ranked root-cause
         report (see :func:`repro.obs.triage.triage_report`); requires
         both telemetry and a monitor on this result."""
@@ -108,7 +101,7 @@ class BaseRunResult:
             raise ValueError(
                 "no monitor observed this run; pass monitor=True (or "
                 "use run_fleet, which always attaches one)")
-        return obs.triage_report(hub, monitor, specs=specs)
+        return obs.triage_report(hub, monitor)
 
     def lineage(self) -> Dict[str, Any]:
         """The run's page-provenance lineage report (see
@@ -390,11 +383,6 @@ def run_fleet(spec=None, *, seed: int = 0, tenants=None,
     hub = _resolve_hub(telemetry)
     mon = _resolve_monitor(monitor)
     if lineage:
-        if hub is None:
-            # let the runner build the hub with the spec's sampling /
-            # timeline knobs and enable lineage on it
-            spec = dataclasses.replace(spec, lineage=True)
-        else:
-            hub.enable_lineage()
+        spec = dataclasses.replace(spec, lineage=True)
     return _run_fleet(spec, hub=hub, monitor=mon)
 

@@ -158,18 +158,9 @@ class FleetSpec:
     #: ``(at_s, shard_id)`` chaos points: kill that shard at that instant
     shard_failures: List[Tuple[float, str]] = field(default_factory=list)
     slos: Optional[Sequence[Any]] = None  # default: obs.slo.DEFAULT_SLOS
-    # -- observability knobs -------------------------------------------------
-    # Deliberately excluded from to_dict(): telemetry is a pure observer,
-    # so the serialized spec (and the whole FleetResult JSON) must stay
-    # byte-identical whether or not triage instrumentation is on.
-    #: keep only every Nth span (exemplar traces bypass the sampling)
-    span_sample_every: int = 1
-    #: retain worst-k / median-band exemplar trace ids per fleet key
-    exemplars: bool = True
-    exemplar_k: int = 3
-    #: record bounded resource-saturation timelines on the hub
-    timelines: bool = True
-    #: track page-provenance lineage (repro.obs.lineage) on the hub
+    #: track page-provenance lineage (repro.obs.lineage) on the hub;
+    #: excluded from to_dict() — telemetry is a pure observer, so the
+    #: FleetResult JSON is byte-identical with lineage on or off
     lineage: bool = False
 
     def expected_invocations(self) -> int:
@@ -336,20 +327,18 @@ def run_fleet(spec: FleetSpec,
 
     Pass an existing *hub* / *monitor* to share telemetry with a larger
     harness; by default each run gets a fresh hub and a fresh
-    :class:`FleetMonitor` (returned on ``FleetResult.monitor``).
+    :class:`FleetMonitor` (returned on ``FleetResult.monitor``).  Either
+    way the hub records saturation timelines, the input of triage.
     """
     if not spec.tenants:
         raise ValueError("a fleet needs at least one tenant")
     wall0 = time.perf_counter()
     if hub is None:
-        hub = obs.Telemetry(span_sample_every=spec.span_sample_every)
-        if spec.timelines:
-            hub.enable_timelines()
-    if spec.lineage and hub.lineage is None:
+        hub = obs.Telemetry()
+    hub.enable_timelines()
+    if spec.lineage:
         hub.enable_lineage()
-    mon = monitor if monitor is not None else FleetMonitor(
-        slos=spec.slos, exemplars=spec.exemplars,
-        exemplar_k=spec.exemplar_k)
+    mon = monitor if monitor is not None else FleetMonitor(slos=spec.slos)
     mon.attach(hub)
     try:
         with obs.capture(hub):

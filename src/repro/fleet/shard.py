@@ -623,9 +623,6 @@ class ShardedCoordinator:
                       workflow=workload, transport=transport,
                       error="ShardUnavailable", shard=shard.shard_id,
                       trace_id=trace_id)
-        # spans AFTER the event: the monitor pins exemplar trace ids
-        # synchronously inside the event dispatch, so pinned invocations
-        # keep their full span tree even under storage sampling
         now = self.engine.now
         root = hub.span(shard.shard_id, FLEET_LAYER, "invocation",
                         submit_ns, now, trace_id=trace_id,

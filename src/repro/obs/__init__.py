@@ -32,7 +32,7 @@ from repro.obs.profile import (PathSegment, SpanNode, attribute,
                                build_span_tree, critical_path,
                                critical_path_report, folded_stacks,
                                parse_folded, render_gantt, render_report,
-                               sampling_diagnostic, trace_ids)
+                               trace_ids)
 from repro.obs.rollup import (TRANSFER_LAYER, rollup_ledger,
                               rollup_record)
 from repro.obs.monitor import (Alert, ExemplarReservoir, FleetMonitor,
@@ -79,7 +79,6 @@ __all__ = [
     "parse_folded",
     "render_gantt",
     "render_report",
-    "sampling_diagnostic",
     "trace_ids",
     "Alert",
     "ExemplarReservoir",

@@ -48,6 +48,12 @@ SKETCH_RELATIVE_ERROR = 1.0 / (2 * SKETCH_SUBBUCKETS)
 #: Key every fleet series is labeled by.
 FleetKey = Tuple[str, str, str]  # (tenant, workflow, transport)
 
+#: Ring slices per sliding window (sketches, counters, exemplars).
+WINDOW_SLICES = 8
+
+#: Worst / failed exemplar trace ids kept per window slice and fleet key.
+EXEMPLAR_K = 3
+
 _SUB_SHIFT = SKETCH_SUBBUCKETS.bit_length() - 1  # log2(K)
 _LINEAR_MAX = 2 * SKETCH_SUBBUCKETS  # values < this are bucketed exactly
 
@@ -169,7 +175,7 @@ class WindowedSketch:
     __slots__ = ("window_ns", "slices", "slice_ns", "_ring", "_min_idx",
                  "lifetime")
 
-    def __init__(self, window_ns: int, slices: int = 8):
+    def __init__(self, window_ns: int, slices: int = WINDOW_SLICES):
         if window_ns <= 0 or slices <= 0:
             raise ValueError("window_ns and slices must be positive")
         self.window_ns = int(window_ns)
@@ -353,9 +359,6 @@ class ExemplarReservoir:
       healthy baseline a triage diff compares the tail against), and
     * the last ``k`` **failed** invocations' trace ids.
 
-    :meth:`record` / :meth:`note_failure` return the trace ids that were
-    *newly retained* so the caller can pin them on the telemetry hub
-    (:meth:`~repro.obs.Telemetry.pin_trace`) before their spans arrive.
     Retention is a pure function of the observation stream — same seed,
     same exemplars.
     """
@@ -367,8 +370,8 @@ class ExemplarReservoir:
     #: sketch quantile walk per observation would dominate hot paths).
     P50_REFRESH_EVERY = 16
 
-    def __init__(self, window_ns: int, slices: int = 8, k: int = 3,
-                 band: float = 0.25):
+    def __init__(self, window_ns: int, slices: int = WINDOW_SLICES,
+                 k: int = EXEMPLAR_K, band: float = 0.25):
         if window_ns <= 0 or slices <= 0 or k <= 0:
             raise ValueError("window_ns, slices and k must be positive")
         self.window_ns = int(window_ns)
@@ -405,38 +408,32 @@ class ExemplarReservoir:
         return slot
 
     def record(self, ts_ns: int, latency_ns: int, trace_id: str,
-               lifetime: PercentileSketch) -> List[str]:
-        """Offer one completion; returns trace ids newly retained."""
+               lifetime: PercentileSketch) -> None:
+        """Offer one completion."""
         if self._since_refresh == 0 and lifetime.count:
             self._p50 = lifetime.quantile(0.5)
         self._since_refresh = (self._since_refresh + 1) \
             % self.P50_REFRESH_EVERY
         slot = self._slice(ts_ns)
-        pinned: List[str] = []
         worst = slot["worst"]
         if len(worst) < self.k or latency_ns > worst[-1][0]:
             worst.append((latency_ns, ts_ns, trace_id))
             worst.sort(key=lambda e: (-e[0], e[1], e[2]))
             del worst[self.k:]
-            if any(e[2] == trace_id for e in worst):
-                pinned.append(trace_id)
         p50 = self._p50
         if p50 > 0 and abs(latency_ns - p50) <= self.band * p50:
             dist = abs(latency_ns - p50)
             median = slot["median"]
             if median is None or dist < median[0]:
                 slot["median"] = (dist, ts_ns, trace_id, latency_ns)
-                pinned.append(trace_id)
-        return pinned
 
-    def note_failure(self, ts_ns: int, trace_id: str) -> List[str]:
-        """Offer one failed invocation; returns newly retained ids."""
+    def note_failure(self, ts_ns: int, trace_id: str) -> None:
+        """Offer one failed invocation."""
         slot = self._slice(ts_ns)
         failed = slot["failed"]
         failed.append((ts_ns, trace_id))
         if len(failed) > self.k:
             del failed[0]
-        return [trace_id]
 
     # -- read-back -----------------------------------------------------------
 
@@ -540,18 +537,13 @@ class FleetMonitor:
       ``obs.monitor`` ``alert.fired`` / ``alert.cleared`` events.
     """
 
-    def __init__(self, slos: Optional[Iterable[SLO]] = None,
-                 window_ns: Optional[int] = None, slices: int = 8,
-                 exemplars: bool = True, exemplar_k: int = 3):
+    def __init__(self, slos: Optional[Iterable[SLO]] = None):
         self.slos: List[SLO] = list(DEFAULT_SLOS if slos is None
                                     else slos)
-        # default series window: the longest SLO window (so the series
-        # and the alerts describe the same horizon)
-        self.window_ns = int(window_ns) if window_ns is not None else max(
+        # series window: the longest SLO window (so the series and the
+        # alerts describe the same horizon)
+        self.window_ns = max(
             [s.long_window_ns for s in self.slos] or [1_000_000_000])
-        self.slices = slices
-        self.exemplars_enabled = bool(exemplars)
-        self.exemplar_k = int(exemplar_k)
         self.latency: Dict[FleetKey, WindowedSketch] = {}
         self.requests: Dict[FleetKey, WindowedCounter] = {}
         #: per-key exemplar reservoirs (worst-k / median-band / failed)
@@ -611,13 +603,8 @@ class FleetMonitor:
         are tallied separately so snapshots can tell refusals from
         failures.
 
-        When *trace_id* is supplied and exemplars are enabled, the
-        invocation is offered to the key's :class:`ExemplarReservoir`;
-        newly retained trace ids are pinned on the hub
-        (:meth:`Telemetry.pin_trace`) so their spans survive storage
-        sampling.  Because events dispatch listeners synchronously, an
-        emitter that fires its completion event *before* recording the
-        invocation's spans gets full span trees for every exemplar.
+        When *trace_id* is supplied, the invocation is offered to the
+        key's :class:`ExemplarReservoir`.
         """
         self.observed += 1
         if rejected:
@@ -627,30 +614,25 @@ class FleetMonitor:
             self.last_ts = ts_ns
         sketch = self.latency.get(key)
         if sketch is None:
-            sketch = self.latency[key] = WindowedSketch(
-                self.window_ns, self.slices)
+            sketch = self.latency[key] = WindowedSketch(self.window_ns)
         counter = self.requests.get(key)
         if counter is None:
             counter = self.requests[key] = WindowedCounter(
-                self.window_ns, max(1, self.window_ns // (8 * self.slices)))
+                self.window_ns,
+                max(1, self.window_ns // (8 * WINDOW_SLICES)))
         counter.record(ts_ns, ok)
         if ok and latency_ns is not None:
             sketch.record(ts_ns, int(latency_ns))
-        if self.exemplars_enabled and trace_id is not None:
+        if trace_id is not None:
             reservoir = self.exemplars.get(key)
             if reservoir is None:
                 reservoir = self.exemplars[key] = ExemplarReservoir(
-                    self.window_ns, self.slices, k=self.exemplar_k)
+                    self.window_ns)
             if ok and latency_ns is not None:
-                retained = reservoir.record(ts_ns, int(latency_ns),
-                                            trace_id, sketch.lifetime)
+                reservoir.record(ts_ns, int(latency_ns), trace_id,
+                                 sketch.lifetime)
             elif not rejected:
-                retained = reservoir.note_failure(ts_ns, trace_id)
-            else:
-                retained = ()
-            if retained and self._hub is not None:
-                for tid in retained:
-                    self._hub.pin_trace(tid)
+                reservoir.note_failure(ts_ns, trace_id)
         states = self._key_states.get(key)
         if states is None:
             states = self._key_states[key] = [
@@ -711,7 +693,7 @@ class FleetMonitor:
                       now_ns: Optional[int] = None
                       ) -> Optional[Dict[str, Any]]:
         """Live-window exemplars for *key* (worst / median / failed), or
-        ``None`` when exemplars are disabled or the key is unseen."""
+        ``None`` when the key never carried a trace id."""
         reservoir = self.exemplars.get(key)
         if reservoir is None:
             return None

@@ -85,30 +85,6 @@ def trace_ids(hub: Telemetry) -> List[str]:
                    if s.get("trace_id") is not None})
 
 
-def sampling_diagnostic(hub: Telemetry,
-                        trace_id: Optional[str] = None) -> Optional[str]:
-    """Explain an absent trace when span sampling is the likely culprit.
-
-    Returns a message naming the knobs (``span_sample_every``,
-    ``max_spans``, :meth:`~repro.obs.telemetry.Telemetry.pin_trace`)
-    when the hub *saw* more spans than it kept — i.e. sampling or the
-    span cap plausibly dropped the spans the caller is looking for —
-    and ``None`` when the hub kept everything it saw (the absence then
-    has some other cause, e.g. no telemetry at all).
-    """
-    if hub.spans_seen <= len(hub.spans):
-        return None
-    dropped = hub.spans_seen - len(hub.spans)
-    subject = (f"trace {trace_id!r} was" if trace_id is not None
-               else "the requested spans were")
-    return (f"{subject} not retained: the hub saw {hub.spans_seen} "
-            f"spans but kept only {len(hub.spans)} "
-            f"(span_sample_every={hub.span_sample_every}, "
-            f"{dropped} sampled out or over max_spans); lower "
-            f"span_sample_every / raise max_spans, or "
-            f"hub.pin_trace(trace_id) before the run records it")
-
-
 def build_span_tree(hub: Telemetry,
                     trace_id: Optional[str] = None) -> SpanNode:
     """The rooted span tree of one trace.
@@ -122,9 +98,6 @@ def build_span_tree(hub: Telemetry,
     ids = trace_ids(hub)
     if trace_id is None:
         if not ids:
-            hint = sampling_diagnostic(hub)
-            if hint is not None:
-                raise ValueError(hint)
             raise ValueError("no causal spans recorded; run with telemetry "
                              "installed (repro.api.run(telemetry=True))")
         if len(ids) > 1:
@@ -149,9 +122,6 @@ def build_span_tree(hub: Telemetry,
         else:
             roots.append(node)
     if not roots:
-        hint = sampling_diagnostic(hub, trace_id)
-        if hint is not None:
-            raise ValueError(hint)
         raise ValueError(f"trace {trace_id!r} has no spans")
     roots.sort(key=lambda r: (-(r.end_ns - r.start_ns), r.start_ns,
                               r.span_id))

@@ -42,6 +42,13 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 #: (machine, layer, name) — the key every metric is filed under.
 MetricKey = Tuple[str, str, str]
 
+#: Stored-event cap: past it the newest event is dropped (and counted in
+#: ``dropped_events``); listeners still see every event.
+MAX_EVENTS = 20_000
+
+#: Samples each decimated counter/gauge series keeps (see :class:`_Series`).
+SERIES_CAP = 512
+
 
 class Histogram:
     """A log2-binned histogram over non-negative integers (ns domain).
@@ -106,12 +113,13 @@ class Histogram:
         if not self.count:
             return 0
         target = max(1, int(q * self.count + 0.999999))
+        bins = self.bins
         seen = 0
-        for b in sorted(self.bins):
-            seen += self.bins[b]
+        for b in sorted(bins):
+            seen += bins[b]
             if seen >= target:
                 return self.bin_bounds(b)[1]
-        return self.bin_bounds(max(self.bins))[1]
+        return self.bin_bounds(max(bins))[1]
 
     def to_dict(self) -> Dict[str, Any]:
         return {"count": self.count, "sum": self.sum,
@@ -129,7 +137,7 @@ class _Series:
 
     __slots__ = ("samples", "stride", "cap", "_updates")
 
-    def __init__(self, cap: int = 512):
+    def __init__(self, cap: int = SERIES_CAP):
         self.samples: List[Tuple[int, int]] = []
         self.stride = 1
         self.cap = cap
@@ -152,61 +160,29 @@ class Telemetry:
     ledger or the event queue.  ``clock`` is attached by the simulation
     engine (see :meth:`attach_clock`); before any engine exists it reads 0.
 
-    ``event_sample_every`` / ``span_sample_every`` keep only every Nth
-    event/span record (1 = keep all, the default).  Sampling affects
-    *storage* only: listeners still see every event, ``events_seen`` /
-    ``spans_seen`` keep the exact totals, and counters/gauges/histograms
-    are never sampled — so deterministic aggregates are unchanged while
-    long fleet runs stop allocating one dict per event.
+    Every span is stored.  Stored events stop at :data:`MAX_EVENTS`
+    (drop-newest, counted in ``dropped_events``); listeners and the
+    counters/gauges/histograms see everything regardless.
     """
 
     __slots__ = ("counters", "gauges", "histograms", "events", "spans",
-                 "series", "max_events", "max_spans", "ring",
-                 "dropped_events", "dropped_spans", "records",
-                 "events_seen", "spans_seen", "event_sample_every",
-                 "span_sample_every", "pinned_traces", "timelines",
-                 "lineage", "_series_cap", "_clock", "_clock_owner",
+                 "series", "dropped_events", "records", "events_seen",
+                 "timelines", "lineage", "_clock", "_clock_owner",
                  "_next_span_id", "_listeners", "_ops")
 
-    def __init__(self, max_events: int = 20_000,
-                 series_cap: int = 512,
-                 max_spans: Optional[int] = None,
-                 ring: bool = False,
-                 event_sample_every: int = 1,
-                 span_sample_every: int = 1):
+    def __init__(self):
         self.counters: Dict[MetricKey, int] = {}
         self.gauges: Dict[MetricKey, int] = {}
         self.histograms: Dict[MetricKey, Histogram] = {}
         self.events: List[Dict[str, Any]] = []
         self.spans: List[Dict[str, Any]] = []
         self.series: Dict[MetricKey, _Series] = {}
-        self.max_events = max_events
-        self.max_spans = max_spans
-        #: ``ring=True`` turns the event/span caps into ring buffers for
-        #: long fleet runs: the *oldest* record is evicted (and counted
-        #: dropped) instead of the newest being refused, so the hub holds
-        #: the most recent window of a million-request simulation in
-        #: bounded memory.  The default keeps the original drop-newest
-        #: semantics and byte-identical exports.
-        self.ring = ring
         self.dropped_events = 0
-        self.dropped_spans = 0
         #: total recording calls (counters+gauges+histograms+events+spans)
         #: — the numerator of the bench harness's hub records/sec metric
         self.records = 0
-        #: exact event/span totals, independent of sampling and caps
+        #: exact event total, including events the cap dropped
         self.events_seen = 0
-        self.spans_seen = 0
-        if event_sample_every < 1 or span_sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        self.event_sample_every = event_sample_every
-        self.span_sample_every = span_sample_every
-        #: trace ids with full span retention: spans carrying one of
-        #: these ids bypass ``span_sample_every`` and the (non-ring)
-        #: ``max_spans`` cap.  ``spans_seen`` stays exact either way.
-        #: Fed by the fleet monitor's exemplar capture (worst-k /
-        #: median-band invocations) via :meth:`pin_trace`.
-        self.pinned_traces: set = set()
         #: optional bounded resource-saturation series recorder
         #: (:class:`repro.obs.timeline.TimelineRecorder`); ``None`` until
         #: :meth:`enable_timelines` — the counter/gauge hot paths pay one
@@ -217,7 +193,6 @@ class Telemetry:
         #: :meth:`enable_lineage` — instrumentation sites pay one
         #: attribute check when disabled.
         self.lineage = None
-        self._series_cap = series_cap
         self._clock: Callable[[], int] = lambda: 0
         self._clock_owner: Optional[object] = None
         self._next_span_id = 1
@@ -259,7 +234,7 @@ class Telemetry:
         ts = self._clock()
         series = self.series.get(key)
         if series is None:
-            series = self.series[key] = _Series(self._series_cap)
+            series = self.series[key] = _Series()
         series.add(ts, total)
         if self.timelines is not None:
             self.timelines.record(key, ts, total)
@@ -274,7 +249,7 @@ class Telemetry:
         ts = self._clock()
         series = self.series.get(key)
         if series is None:
-            series = self.series[key] = _Series(self._series_cap)
+            series = self.series[key] = _Series()
         series.add(ts, value)
         if self.timelines is not None:
             self.timelines.record(key, ts, value)
@@ -320,8 +295,8 @@ class Telemetry:
               **attributes: Any) -> None:
         """Record one timestamped structured event.
 
-        Listeners always see every event; the stored copy is subject to
-        ``event_sample_every`` and the ``max_events`` cap.
+        Listeners always see every event; the stored copy is dropped
+        once :data:`MAX_EVENTS` are held.
         """
         self.records += 1
         self.events_seen += 1
@@ -330,14 +305,9 @@ class Telemetry:
                   "attributes": attributes}
         for listener in self._listeners:
             listener(record)
-        if self.event_sample_every > 1 \
-                and (self.events_seen - 1) % self.event_sample_every:
-            return
-        if len(self.events) >= self.max_events:
+        if len(self.events) >= MAX_EVENTS:
             self.dropped_events += 1
-            if not self.ring:
-                return
-            del self.events[0]
+            return
         self.events.append(record)
 
     def new_span_id(self) -> int:
@@ -359,23 +329,8 @@ class Telemetry:
         span's id so callers can parent children under it.
         """
         self.records += 1
-        self.spans_seen += 1
         if span_id is None:
             span_id = self.new_span_id()
-        pinned = trace_id is not None and trace_id in self.pinned_traces
-        if not pinned and self.span_sample_every > 1 \
-                and (self.spans_seen - 1) % self.span_sample_every:
-            return span_id
-        if self.max_spans is not None \
-                and len(self.spans) >= self.max_spans:
-            if self.ring:
-                self.dropped_spans += 1
-                del self.spans[0]
-            elif not pinned:
-                # pinned exemplar spans bypass the drop-newest cap so
-                # retained traces stay complete
-                self.dropped_spans += 1
-                return span_id
         self.spans.append({"machine": machine, "layer": layer,
                            "name": name, "start_ns": int(start_ns),
                            "end_ns": int(end_ns), "span_id": span_id,
@@ -383,24 +338,9 @@ class Telemetry:
                            "attributes": attributes})
         return span_id
 
-    # -- exemplar pinning & saturation timelines ------------------------------
+    # -- saturation timelines & lineage ---------------------------------------
 
-    def pin_trace(self, trace_id: str) -> None:
-        """Retain every *future* span of *trace_id* regardless of
-        ``span_sample_every`` and the (non-ring) ``max_spans`` cap.
-
-        Pinning is storage-only: ``spans_seen`` stays the exact total and
-        no simulated state is touched, so pinning preserves the
-        bit-identical run contract.  Emitters that want complete exemplar
-        trees must record the pin-triggering event *before* the spans it
-        should retain (the fleet shard layer emits ``invocation.done``
-        first, then the invocation's spans).
-        """
-        self.pinned_traces.add(trace_id)
-
-    def enable_timelines(self, bucket_ns: int = 1_000_000,
-                         max_buckets: int = 256,
-                         max_series: int = 1024):
+    def enable_timelines(self):
         """Attach (or return) the resource-saturation timeline recorder.
 
         Every subsequent counter/gauge update also lands in a bounded
@@ -410,9 +350,7 @@ class Telemetry:
         """
         if self.timelines is None:
             from repro.obs.timeline import TimelineRecorder
-            self.timelines = TimelineRecorder(bucket_ns=bucket_ns,
-                                              max_buckets=max_buckets,
-                                              max_series=max_series)
+            self.timelines = TimelineRecorder()
         return self.timelines
 
     def enable_lineage(self):
@@ -522,7 +460,7 @@ class Telemetry:
     def _sample(self, key: MetricKey, value: int) -> None:
         series = self.series.get(key)
         if series is None:
-            series = self.series[key] = _Series(self._series_cap)
+            series = self.series[key] = _Series()
         series.add(self._clock(), value)
 
     # -- introspection -------------------------------------------------------
@@ -569,9 +507,10 @@ class Telemetry:
             "events": list(self.events),
             "spans": list(self.spans),
             "dropped_events": self.dropped_events,
-            "dropped_spans": self.dropped_spans,
+            # spans are never dropped; the keys keep the export shape
+            "dropped_spans": 0,
             "events_seen": self.events_seen,
-            "spans_seen": self.spans_seen,
+            "spans_seen": len(self.spans),
         }
 
     def clear(self) -> None:
@@ -582,11 +521,8 @@ class Telemetry:
         self.spans.clear()
         self.series.clear()
         self.dropped_events = 0
-        self.dropped_spans = 0
         self.records = 0
         self.events_seen = 0
-        self.spans_seen = 0
-        self.pinned_traces.clear()
         if self.timelines is not None:
             self.timelines.clear()
         if self.lineage is not None:

@@ -5,8 +5,8 @@ answers the question the alert cannot: *why*.  For each alert it builds
 an :class:`AlertContext` over the alert window:
 
 * **exemplars** — the worst-k / median-band / failed trace ids the
-  monitor's :class:`~repro.obs.monitor.ExemplarReservoir` retained (and
-  the hub pinned full span trees for);
+  monitor's :class:`~repro.obs.monitor.ExemplarReservoir` retained (the
+  hub keeps every span, so each has its full span tree);
 * **faults** — injected chaos faults and shard deaths inside the window
   (``platform``/``shard.failed`` events, ``chaos``/``fault`` events,
   with the ``shards.failed`` counter series as a cap-proof fallback);
@@ -32,12 +32,11 @@ deterministic inputs, so the report is byte-identical at a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.diff import diff_traces
 from repro.obs.monitor import Alert, FleetMonitor
-from repro.obs.profile import (build_span_tree, critical_path_report,
-                               sampling_diagnostic)
+from repro.obs.profile import build_span_tree, critical_path_report
 from repro.obs.telemetry import Telemetry
 
 TRIAGE_SCHEMA_VERSION = 1
@@ -194,14 +193,14 @@ def _capacity_of(hub: Telemetry, machine: str,
     return hub.gauges.get((machine, spec.layer, spec.capacity_name))
 
 
-def _saturation_scan(hub: Telemetry, specs: Sequence[SaturationSpec],
-                     t0_ns: int, t1_ns: int) -> List[Dict[str, Any]]:
+def _saturation_scan(hub: Telemetry, t0_ns: int,
+                     t1_ns: int) -> List[Dict[str, Any]]:
     """Every (spec, machine) whose series crossed its threshold."""
     recorder = hub.timelines
     if recorder is None:
         return []
     findings: List[Dict[str, Any]] = []
-    for spec in specs:
+    for spec in DEFAULT_SATURATION_SPECS:
         for machine, layer, name in recorder.keys():
             if layer != spec.layer or name != spec.name:
                 continue
@@ -302,14 +301,7 @@ def _exemplar_analysis(hub: Telemetry,
     try:
         report = critical_path_report(hub, worst_tid)
     except ValueError:
-        # if span sampling dropped the exemplar's tree, say so instead
-        # of silently producing a report with no exemplar evidence
-        hint = sampling_diagnostic(hub, worst_tid)
-        if hint is not None:
-            raise ValueError(
-                f"triage cannot analyze the worst exemplar: {hint}"
-            ) from None
-        return None, None  # trace genuinely absent (pinned too late)
+        return None, None  # the exemplar recorded no spans
     diff = None
     median = exemplars.get("median")
     if median is not None and median["trace_id"] != worst_tid:
@@ -378,11 +370,9 @@ def _rank_evidence(ctx: AlertContext) -> List[Dict[str, Any]]:
     return evidence
 
 
-def triage_alert(hub: Telemetry, monitor: FleetMonitor, alert: Alert,
-                 specs: Optional[Sequence[SaturationSpec]] = None
-                 ) -> AlertContext:
+def triage_alert(hub: Telemetry, monitor: FleetMonitor,
+                 alert: Alert) -> AlertContext:
     """Build the ranked :class:`AlertContext` for one alert."""
-    specs = DEFAULT_SATURATION_SPECS if specs is None else specs
     t1 = alert.cleared_ns if alert.cleared_ns is not None \
         else monitor.last_ts
     t0 = max(0, alert.fired_ns - alert.slo.long_window_ns)
@@ -390,19 +380,18 @@ def triage_alert(hub: Telemetry, monitor: FleetMonitor, alert: Alert,
                        window_end_ns=t1)
     ctx.exemplars = monitor.exemplars_for(alert.key, now_ns=t1)
     ctx.faults = _fault_scan(hub, t0, t1)
-    ctx.saturation = _saturation_scan(hub, specs, t0, t1)
+    ctx.saturation = _saturation_scan(hub, t0, t1)
     ctx.lineage = _lineage_scan(hub, t0, t1)
     ctx.critical_path, ctx.diff = _exemplar_analysis(hub, ctx.exemplars)
     ctx.evidence = _rank_evidence(ctx)
     return ctx
 
 
-def triage_report(hub: Telemetry, monitor: FleetMonitor,
-                  specs: Optional[Sequence[SaturationSpec]] = None
-                  ) -> Dict[str, Any]:
+def triage_report(hub: Telemetry,
+                  monitor: FleetMonitor) -> Dict[str, Any]:
     """Triage every alert the monitor raised; JSON-ready and
     byte-identical at a fixed seed."""
-    contexts = [triage_alert(hub, monitor, alert, specs=specs)
+    contexts = [triage_alert(hub, monitor, alert)
                 for alert in monitor.alerts]
     return {
         "schema_version": TRIAGE_SCHEMA_VERSION,

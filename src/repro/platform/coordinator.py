@@ -424,9 +424,6 @@ class WorkflowCoordinator:
             hub.count("coordinator", "platform", "invocations.completed")
             hub.gauge("coordinator", "platform", "invocations.inflight",
                       self._inflight)
-            # event first: a monitor pinning this trace as an exemplar
-            # does so synchronously inside the dispatch, so the two
-            # completion spans below see the pin
             hub.event("coordinator", "platform", "invocation.done",
                       tenant=self.tenant, workflow=wf.name,
                       transport=self.transport.name,

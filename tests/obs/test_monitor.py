@@ -177,7 +177,7 @@ class TestBurnRateAlerting:
     KEY = ("acme", "wordcount", "rmmap-prefetch")
 
     def monitor(self):
-        return FleetMonitor(slos=[self.SLO], window_ns=800)
+        return FleetMonitor(slos=[self.SLO])
 
     def test_fires_and_clears_at_deterministic_timestamps(self):
         mon = self.monitor()
@@ -217,7 +217,7 @@ class TestBurnRateAlerting:
         slo = SLO(name="lat", objective=0.9, latency_threshold_ns=ms(1),
                   long_window_ns=800, short_window_ns=100,
                   burn_rate_threshold=2.0)
-        mon = FleetMonitor(slos=[slo], window_ns=800)
+        mon = FleetMonitor(slos=[slo])
         mon.observe(0, self.KEY, latency_ns=100, ok=True)
         mon.observe(200, self.KEY, latency_ns=ms(50), ok=True)  # slow
         assert len(mon.alerts) == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import Telemetry, capture, current, install, uninstall
-from repro.obs.telemetry import Histogram, _Series
+from repro.obs.telemetry import MAX_EVENTS, Histogram, _Series
 
 
 class TestHistogramBinning:
@@ -124,11 +124,12 @@ class TestTelemetry:
         assert hub.layers() == ["a", "b", "c", "d", "e"]
 
     def test_event_cap_counts_drops(self):
-        hub = Telemetry(max_events=2)
-        for i in range(5):
+        hub = Telemetry()
+        for i in range(MAX_EVENTS + 3):
             hub.event("m", "l", f"e{i}")
-        assert len(hub.events) == 2
+        assert len(hub.events) == MAX_EVENTS
         assert hub.dropped_events == 3
+        assert hub.events_seen == MAX_EVENTS + 3
 
     def test_clock_attaches_idempotently_and_rebinds(self):
         class FakeEngine:
@@ -171,53 +172,43 @@ class TestGlobalHub:
 
 
 class TestBoundedMemory:
-    def test_ring_mode_keeps_newest_events(self):
-        hub = Telemetry(max_events=2, ring=True)
-        for i in range(5):
-            hub.event("m", "l", f"e{i}")
-        assert [e["name"] for e in hub.events] == ["e3", "e4"]
-        assert hub.dropped_events == 3
-
     def test_default_mode_keeps_oldest_events(self):
-        hub = Telemetry(max_events=2)
-        for i in range(5):
+        hub = Telemetry()
+        for i in range(MAX_EVENTS + 2):
             hub.event("m", "l", f"e{i}")
-        assert [e["name"] for e in hub.events] == ["e0", "e1"]
-
-    def test_span_cap_counts_drops(self):
-        hub = Telemetry(max_spans=2)
-        ids = [hub.span("m", "l", f"s{i}", i, i + 1) for i in range(5)]
-        assert len(hub.spans) == 2
-        assert hub.dropped_spans == 3
-        # span ids keep incrementing so parent links stay coherent
-        assert ids == sorted(set(ids)) and len(ids) == 5
+        assert hub.events[0]["name"] == "e0"
+        assert hub.events[-1]["name"] == f"e{MAX_EVENTS - 1}"
 
     def test_snapshot_reports_drop_counters(self):
-        hub = Telemetry(max_events=1, max_spans=1)
-        for i in range(3):
+        hub = Telemetry()
+        for i in range(MAX_EVENTS + 2):
             hub.event("m", "l", "e")
+        for i in range(3):
             hub.span("m", "l", "s", 0, 1)
         snap = hub.snapshot()
         assert snap["dropped_events"] == 2
-        assert snap["dropped_spans"] == 2
+        assert snap["events_seen"] == MAX_EVENTS + 2
+        # every span is kept: the span keys report exactly that
+        assert snap["dropped_spans"] == 0
+        assert snap["spans_seen"] == len(snap["spans"]) == 3
 
     def test_clear_resets_drop_counters(self):
-        hub = Telemetry(max_events=1)
-        hub.event("m", "l", "a")
-        hub.event("m", "l", "b")
+        hub = Telemetry()
+        for i in range(MAX_EVENTS + 1):
+            hub.event("m", "l", "a")
         assert hub.dropped_events == 1
         hub.clear()
         assert hub.dropped_events == 0 and hub.events == []
 
     def test_listeners_see_events_the_cap_drops(self):
         seen = []
-        hub = Telemetry(max_events=1)
+        hub = Telemetry()
         hub.add_listener(lambda e: seen.append(e["name"]))
         hub.add_listener(lambda e: None)  # second listener coexists
-        for i in range(3):
+        for i in range(MAX_EVENTS + 2):
             hub.event("m", "l", f"e{i}")
-        assert seen == ["e0", "e1", "e2"]
-        assert len(hub.events) == 1
+        assert seen == [f"e{i}" for i in range(MAX_EVENTS + 2)]
+        assert len(hub.events) == MAX_EVENTS
 
     def test_remove_listener_is_idempotent(self):
         seen = []

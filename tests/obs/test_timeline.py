@@ -86,7 +86,7 @@ def test_hub_feeds_timelines_when_enabled():
 
     hub = Telemetry()
     hub.count("m", "layer", "ops")  # before enabling: not recorded
-    recorder = hub.enable_timelines(bucket_ns=100)
+    recorder = hub.enable_timelines()
     assert hub.enable_timelines() is recorder  # idempotent
     hub.count("m", "layer", "ops")
     hub.gauge("m", "layer", "depth", 4)

@@ -12,11 +12,9 @@ from repro.obs import (ExemplarReservoir, PercentileSketch, Telemetry,
 FAIL_AT_NS = 3_000_000_000
 
 
-def _chaos_spec(seed=0, **obs_knobs):
+def _chaos_spec(seed=0):
     spec = smoke_spec(seed=seed)
     spec.shard_failures.append((3.0, "shard-1"))
-    for knob, value in obs_knobs.items():
-        setattr(spec, knob, value)
     return spec
 
 
@@ -60,52 +58,13 @@ def test_reservoir_median_band_tracks_p50():
 def test_reservoir_failures_and_eviction():
     lifetime = PercentileSketch()
     res = ExemplarReservoir(window_ns=100, slices=2, k=2)
-    assert res.note_failure(10, "f0") == ["f0"]
+    res.note_failure(10, "f0")
     res.record(20, 5, "ok0", lifetime)
     assert [e["trace_id"] for e in res.failed(20)] == ["f0"]
     # far future: the whole window evicted
     assert res.failed(10_000) == []
     assert res.worst(10_000) == []
     assert res.median(10_000) is None
-
-
-# -- pinning under storage sampling --------------------------------------------
-
-
-def test_exemplars_survive_span_sampling_with_exact_seen_counts():
-    result = run_fleet(_chaos_spec(span_sample_every=4))
-    hub = result.telemetry
-    # storage sampling really dropped spans, yet seen stayed exact
-    assert hub.spans_seen > len(hub.spans)
-    assert hub.span_sample_every == 4
-    report = result.triage()
-    checked = 0
-    for ctx in report["alerts"]:
-        exemplars = ctx["exemplars"]
-        if not exemplars or not exemplars["worst"]:
-            continue
-        tid = exemplars["worst"][0]["trace_id"]
-        assert tid in hub.pinned_traces
-        tree = build_span_tree(hub, tid)
-        names = {node.name for node in tree.walk()}
-        # the complete fleet invocation tree: root + service (and
-        # queue.wait whenever the invocation waited)
-        assert "invocation" in names and "service" in names
-        checked += 1
-    assert checked > 0
-
-
-def test_run_is_bit_identical_with_exemplars_on_and_off():
-    on = run_fleet(_chaos_spec(exemplars=True)).to_json()
-    off = run_fleet(_chaos_spec(exemplars=False)).to_json()
-    assert on == off
-
-
-def test_run_is_bit_identical_with_timelines_and_sampling_toggled():
-    base = run_fleet(_chaos_spec()).to_json()
-    bare = run_fleet(_chaos_spec(exemplars=False, timelines=False,
-                                 span_sample_every=16)).to_json()
-    assert base == bare
 
 
 # -- triage on the seeded chaos fleet ------------------------------------------
@@ -138,6 +97,38 @@ def test_triage_gathers_exemplars_and_critical_path(chaos_report):
     if ctx["diff"] is not None:
         assert ctx["diff"]["kind"] == "trace"
         assert len(ctx["diff"]["rows"]) <= 8
+
+
+def test_every_alert_worst_exemplar_has_its_complete_span_tree(
+        chaos_result, chaos_report):
+    hub = chaos_result.telemetry
+    checked = 0
+    for ctx in chaos_report["alerts"]:
+        exemplars = ctx["exemplars"]
+        if not exemplars or not exemplars["worst"]:
+            continue
+        worst = exemplars["worst"][0]
+        tree = build_span_tree(hub, worst["trace_id"])
+        names = {node.name for node in tree.walk()}
+        # the complete fleet invocation tree: root + service, and
+        # queue.wait whenever the invocation waited
+        assert tree.name == "invocation"
+        assert tree.duration_ns == worst["latency_ns"]
+        assert "service" in names
+        service = next(n for n in tree.walk() if n.name == "service")
+        waited = service.start_ns > tree.start_ns
+        assert ("queue.wait" in names) == waited
+        checked += 1
+    assert checked == chaos_report["alert_count"]
+
+
+def test_caller_supplied_hub_gets_the_same_saturation_evidence():
+    default = run_fleet(smoke=True).triage()
+    shared = run_fleet(smoke=True, telemetry=True).triage()
+    assert shared["alert_count"] == default["alert_count"] > 0
+    saturation = [ctx["saturation"] for ctx in default["alerts"]]
+    assert any(saturation), "the default run found no saturation"
+    assert [ctx["saturation"] for ctx in shared["alerts"]] == saturation
 
 
 def test_triage_report_byte_identical_at_fixed_seed():
