@@ -107,8 +107,8 @@ class AddressSpace:
         *vaddr*'s on, each PTE appended to *out* (a new list by default)
         as it resolves, so a caller catching page *k*'s error finds the
         pages before it there.  The span is looked up in one pass; each
-        stretch of missing pages goes to its VMA's ``fault_run`` whole
-        (a page at a time under a hub, whose records keep their order)."""
+        stretch of missing pages goes to its VMA's ``fault_run`` whole,
+        and a hub records the faults it served as one count."""
         charge, walk_ns = self.ledger.charge, self.cost.page_table_walk_ns
         ptes = [] if out is None else out
         vpn = first = vaddr >> PAGE_SHIFT
@@ -129,8 +129,7 @@ class AddressSpace:
                 if vma is None:
                     raise SegmentationFault(vaddr)
                 n, stop = 1, min(end, page_number(vma.range.end - 1) + 1)
-                while hub is None and vpn + n < stop \
-                        and found[vpn + n - first] is None:
+                while vpn + n < stop and found[vpn + n - first] is None:
                     n += 1
                 self.fault_count += 1
                 run = vma.fault_run(self, vpn, n, write)
@@ -138,7 +137,7 @@ class AddressSpace:
                 charge((len(run) - 1) * walk_ns, "mmu")
                 self.fault_count += len(run) - 1
                 if hub is not None:
-                    hub.count(self.name, "mem", "faults")
+                    hub.count(self.name, "mem", "faults", len(run))
                     hub.gauge_max(self.name, "mem", "resident.pages.hw",
                                   len(self.page_table))
             for pte in run:

@@ -44,8 +44,8 @@ class VMA:
         """Fault in a leading part — at least a page — of the *count*
         adjacent missing pages from *vpn* on in one step, returning its
         PTEs: the effects of as many :meth:`handle_fault` calls, charges
-        summed by category (*count* is 1 under a hub).  Only the first
-        page may fail; on a write, the rest must map writable."""
+        summed by category, hub installed or not.  Only the first page
+        may fail; on a write, the rest must map writable."""
         return [self.handle_fault(space, vpn, write)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
