@@ -4,14 +4,3 @@ from repro.analysis.metrics import (cdf_points, percentile,
                                     throughput_timeline, LatencyStats,
                                     summarize_invocations)
 from repro.analysis.report import Table, ascii_bar_chart, format_ns
-
-__all__ = [
-    "percentile",
-    "cdf_points",
-    "throughput_timeline",
-    "LatencyStats",
-    "summarize_invocations",
-    "Table",
-    "ascii_bar_chart",
-    "format_ns",
-]

@@ -28,23 +28,3 @@ from repro.chaos.policies import (RECOVERABLE_FAULTS, CircuitBreaker,
                                   ResiliencePolicy, RetryPolicy)
 from repro.chaos.runner import default_transport, run_chaos_workflow
 from repro.chaos.schedule import FaultSchedule, random_schedule
-
-__all__ = [
-    "Fault",
-    "MachineCrash",
-    "LinkFlap",
-    "QpBreak",
-    "LatencySpike",
-    "OomKill",
-    "ForkSourceCrash",
-    "CoordinatorCrash",
-    "FaultSchedule",
-    "random_schedule",
-    "FaultInjector",
-    "RetryPolicy",
-    "CircuitBreaker",
-    "ResiliencePolicy",
-    "RECOVERABLE_FAULTS",
-    "run_chaos_workflow",
-    "default_transport",
-]

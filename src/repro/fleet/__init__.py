@@ -34,29 +34,3 @@ from repro.fleet.traffic import (ArrivalProcess, BurstyArrivals,
                                  TenantSpec, TrafficMix, default_tenants)
 from repro.fleet.runner import (FleetResult, FleetSpec, ServiceProfile,
                                 run_fleet, smoke_spec)
-
-__all__ = [
-    "AdmissionController",
-    "ArrivalProcess",
-    "BurstyArrivals",
-    "CoordinatorShard",
-    "DiurnalArrivals",
-    "FleetResult",
-    "FleetSpec",
-    "HashRing",
-    "PoissonArrivals",
-    "REJECT_QUEUE_FULL",
-    "REJECT_RATE_LIMIT",
-    "REJECT_SHARD_DOWN",
-    "Rejection",
-    "ScaleUpConfig",
-    "ServiceProfile",
-    "ShardAutoscaler",
-    "ShardedCoordinator",
-    "TenantSpec",
-    "TokenBucket",
-    "TrafficMix",
-    "default_tenants",
-    "run_fleet",
-    "smoke_spec",
-]

@@ -14,11 +14,3 @@ from repro.fork.policy import (MODE_AUTO, MODE_COLD, SCALE_UP_COLD,
                                SCALE_UP_PREWARM, ForkPolicy, ScaleUpConfig)
 from repro.fork.remote import ForkedContainer, remote_fork
 from repro.fork.source import ForkManager, ForkSource, fork_fid, fork_key
-
-__all__ = [
-    "MODE_AUTO", "MODE_COLD",
-    "SCALE_UP_COLD", "SCALE_UP_FORK", "SCALE_UP_KINDS", "SCALE_UP_PREWARM",
-    "ForkPolicy", "ScaleUpConfig",
-    "ForkedContainer", "remote_fork",
-    "ForkManager", "ForkSource", "fork_fid", "fork_key",
-]

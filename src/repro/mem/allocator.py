@@ -49,9 +49,9 @@ class HeapAllocator:
                 if end > self.high_water:
                     self.high_water = end
                 return start
-        raise OutOfMemory(
-            f"heap exhausted: need {size} bytes, "
-            f"{self.free_bytes()} free (fragmented)")
+        free = self.free_bytes()
+        raise OutOfMemory(f"heap exhausted: need {size} bytes, {free} free"
+                          + (" (fragmented)" if free >= size else ""))
 
     def alloc_run(self, sizes: Sequence[int]) -> List[int]:
         """``[self.alloc(size) for size in sizes]``, carved in one step

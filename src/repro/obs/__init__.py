@@ -46,60 +46,3 @@ from repro.obs.timeline import Timeline, TimelineRecorder
 from repro.obs.triage import (AlertContext, DEFAULT_SATURATION_SPECS,
                               SaturationSpec, render_triage,
                               triage_alert, triage_report)
-
-__all__ = [
-    "Histogram",
-    "MetricKey",
-    "Telemetry",
-    "capture",
-    "current",
-    "install",
-    "uninstall",
-    "to_chrome_trace",
-    "to_chrome_trace_json",
-    "to_csv",
-    "to_json",
-    "to_prom_text",
-    "write_chrome_trace",
-    "write_csv",
-    "write_json",
-    "write_prom",
-    "LINEAGE_SCHEMA",
-    "LineageTracker",
-    "TRANSFER_LAYER",
-    "rollup_ledger",
-    "rollup_record",
-    "PathSegment",
-    "SpanNode",
-    "attribute",
-    "build_span_tree",
-    "critical_path",
-    "critical_path_report",
-    "folded_stacks",
-    "parse_folded",
-    "render_gantt",
-    "render_report",
-    "trace_ids",
-    "Alert",
-    "ExemplarReservoir",
-    "FleetMonitor",
-    "MONITOR_LAYER",
-    "PercentileSketch",
-    "SKETCH_RELATIVE_ERROR",
-    "WindowedCounter",
-    "WindowedSketch",
-    "DEFAULT_SLOS",
-    "SLO",
-    "diff_snapshot_paths",
-    "diff_snapshots",
-    "diff_traces",
-    "render_diff",
-    "Timeline",
-    "TimelineRecorder",
-    "AlertContext",
-    "DEFAULT_SATURATION_SPECS",
-    "SaturationSpec",
-    "render_triage",
-    "triage_alert",
-    "triage_report",
-]

@@ -22,18 +22,3 @@ from repro.platform.scheduler import Scheduler
 from repro.platform.coordinator import (FunctionRecord, InvocationRecord,
                                         WorkflowCoordinator)
 from repro.platform.cluster import ServerlessPlatform
-
-__all__ = [
-    "FunctionSpec",
-    "Edge",
-    "Workflow",
-    "WorkflowBuilder",
-    "VmPlan",
-    "plan_workflow",
-    "Container",
-    "Scheduler",
-    "WorkflowCoordinator",
-    "InvocationRecord",
-    "FunctionRecord",
-    "ServerlessPlatform",
-]

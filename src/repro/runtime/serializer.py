@@ -24,23 +24,33 @@ per-element cost is still charged, only host CPU time is saved.
 from __future__ import annotations
 
 import struct
+from array import array
+from collections import namedtuple
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.errors import SerializationError
 from repro.mem.address_space import PageCursor
 from repro.obs.telemetry import current as _telemetry
-from repro.runtime.heap import (_PRIM_SLOT, ManagedHeap, encode_prim_run,
-                                read_packed_run)
-from repro.runtime.objects import (HEADER_SIZE, HEADER_STRUCT, LAYOUT,
-                                   PTR_SIZE, TypeLayout, layout_at,
-                                   pack_pointers, pointer_slots,
-                                   unpack_pointers)
-from repro.units import transfer_time_ns
+from repro.runtime.heap import _PRIM_SLOT, ManagedHeap, read_packed_run
+from repro.runtime.objects import (HEADER_SIZE, LAYOUT, PTR_SIZE,
+                                   TypeLayout, layout_at, pack_pointers,
+                                   pointer_slots)
+from repro.units import PAGE_SHIFT, PAGE_SIZE, transfer_time_ns
 
 _REC_OBJ = 0
 _REC_PACKED = 1
 _REC_HEADER = struct.Struct("<BIQ")  # kind, tag, count-or-len
-_OBJ_HEADER = HEADER_STRUCT.pack
+#: tag codes a packed record may carry
+_PACKABLE = frozenset(int(row.tag) for row in LAYOUT
+                      if row.run_code is not None)
+#: tag code -> payload offset of its first pointer slot (-1: a leaf)
+_POINTER_AT = np.array([-1 if row.pointers is None else row.pointers
+                        for row in LAYOUT], np.int64)
+#: leaves this long are copied into the page image one by one, the
+#: shorter ones word by word over all of them at once
+_BIG_LEAF = 256
 
 
 class SerializedState:
@@ -141,112 +151,197 @@ class Serializer:
     def deserialize(self, heap: ManagedHeap, state: SerializedState) -> int:
         """Reconstruct the graph on *heap*; returns the new root address.
 
-        Scan, allocate, write: the whole stream is validated before the
-        first allocation, so a bad stream raises
-        :class:`SerializationError` and leaves the heap as it was.
+        Scan, stage, write: the stream is validated before the first
+        allocation (a bad one raises :class:`SerializationError` and
+        leaves the heap as it was), laid out in a host image of the pages
+        its objects touch and written a run of adjacent pages at a time.
+        All or nothing, like ``box``: a failed call frees what it
+        allocated.
         """
         data = state.data
-        records, sizes, total = self._scan(data)
-        bases = heap.allocator.alloc_run(sizes)
-        addrs: List[int] = []  # stream index -> object address
-        for (kind, _tag, count, _off, _skip), base in zip(records, bases):
-            if kind == _REC_OBJ:
-                addrs.append(base)
-            else:
-                addrs.extend(range(base, base + count * _PRIM_SLOT,
-                                   _PRIM_SLOT))
-
-        # exactly adjacent objects are one write (one page walk per page
-        # of the merged range); the allocator's 16-byte alignment leaves
-        # a gap after most, and those are written on their own
-        writes: List[Tuple[int, List[bytes]]] = []
-        end = -1
-        for (kind, tag, length, off, skip), base in zip(records, bases):
-            if kind == _REC_PACKED:
-                blob = encode_prim_run(tag, data[off:off + 8 * length])
-            elif skip is None:
-                blob = _OBJ_HEADER(tag, 0, length) + data[off:off + length]
-            else:
-                indices = unpack_pointers(
-                    data, (length - skip) // PTR_SIZE, off + skip)
-                blob = (_OBJ_HEADER(tag, 0, length) + data[off:off + skip]
-                        + pack_pointers([addrs[i] for i in indices]))
-            if base == end:
-                writes[-1][1].append(blob)
-            else:
-                writes.append((base, [blob]))
-            end = base + len(blob)
-        heap.space.write_batch(
-            (addr, b"".join(parts)) for addr, parts in writes)
-        heap.objects_boxed += total
-
+        rec = _scan(data)
+        allocator = heap.allocator
+        before = allocator.allocations()
+        try:
+            bases = allocator.alloc_run(rec.sizes.tolist())
+            runs, extra_walks = _stage(heap.space, data, rec, bases)
+            heap.space.write_batch(runs)
+        except BaseException:  # the call's are the newest allocations
+            for addr in allocator.allocations_dict()[before:]:
+                allocator.free(addr)
+            raise
+        heap.ledger.charge(extra_walks * heap.cost.page_table_walk_ns, "mmu")
+        heap.objects_boxed += rec.total
         # the per-object constant subsumes allocator work (as measured for
         # pickle in Section 2.4: ~12 ms for ~400 k sub-objects)
         self._charge(heap, "deserialize",
-                     heap.cost.deserialize_per_object_ns, total, len(data))
-        return addrs[0]
+                     heap.cost.deserialize_per_object_ns, rec.total, len(data))
+        return bases[0]
 
-    @staticmethod
-    def _scan(data: bytes) -> Tuple[List[Tuple], List[int], int]:
-        """Validate *data* and slice it into records, allocating nothing.
 
-        Returns ``(records, sizes, object_count)``: one ``(kind, tag,
-        length-or-count, payload offset, pointer-slot offset or None)``
-        and one allocation size per record.
-        """
-        end = len(data)
-        if end < 8:
-            raise SerializationError("truncated stream: missing header")
-        (total,) = struct.unpack_from("<Q", data, 0)
-        # sanity bound: even maximally packed records need >= 8 bytes per
-        # object, so a larger count is a forged/corrupt header (and would
-        # otherwise drive an unbounded host allocation)
-        if not 0 < total <= end:
-            raise SerializationError(
-                f"corrupt stream: claims {total} objects in {end} bytes")
-        records: List[Tuple] = []
-        sizes: List[int] = []
-        unpack_header, header_size = _REC_HEADER.unpack_from, _REC_HEADER.size
-        known_tags = len(LAYOUT)
-        pos = 8
-        seen = 0
+#: a scanned stream: per record its payload's offset, tag, length (a
+#: packed run's: elements), first pointer slot's payload offset (-1: none)
+#: and heap size; the packed runs; per pointer slot its record, offset and
+#: child index.  ``u64_at[i]`` is the u64 at byte i of the stream.
+_Records = namedtuple("_Records", "total u64_at off tag length ptr_at sizes "
+                      "packed slot_rec slot_at child")
+
+
+def _scan(data: bytes) -> _Records:
+    """Validate *data* and slice it into records, allocating nothing.  The
+    loop checks what locates the next record; container shapes, child
+    indices and the object count are checked over all records at once,
+    raising the error a record-by-record check would meet first."""
+    end = len(data)
+    if end < 8:
+        raise SerializationError("truncated stream: missing header")
+    (total,) = struct.unpack_from("<Q", data, 0)
+    # even maximally packed records need >= 8 bytes per object: a larger
+    # count is corrupt (and would drive an unbounded host allocation)
+    if not 0 < total <= end:
+        raise SerializationError(
+            f"corrupt stream: claims {total} objects in {end} bytes")
+    heads, failure, pos, known_tags = array("q"), None, 8, len(LAYOUT)
+    append, unpack, head_size = (heads.append, _REC_HEADER.unpack_from,
+                                 _REC_HEADER.size)
+    try:
         while pos < end:
-            if pos + header_size > end:
-                raise SerializationError("truncated record header")
-            kind, tag, length = unpack_header(data, pos)
-            pos += header_size
-            if kind == _REC_OBJ and tag < known_tags:
-                nbytes = length
-                sizes.append(HEADER_SIZE + length)
-                seen += 1
-            elif kind == _REC_PACKED and tag < known_tags and length \
-                    and LAYOUT[tag].run_code is not None:
-                nbytes = 8 * length
-                sizes.append(length * _PRIM_SLOT)
-                seen += length
-            else:
-                raise SerializationError(
-                    f"corrupt record: kind {kind}, tag {tag}, length {length}")
-            if pos + nbytes > end:
-                raise SerializationError("truncated record payload")
-            skip = LAYOUT[tag].pointers if kind == _REC_OBJ else None
-            if skip is not None:
-                nptrs, rest = divmod(length - skip, PTR_SIZE)
-                if nptrs < 0 or rest:
-                    raise SerializationError(
-                        f"corrupt stream: {length}-byte container")
-                # checked here, unpacked again when written: holding every
-                # container's indices across the allocation costs ~40 B
-                # per child of peak memory
-                last = max(unpack_pointers(data, nptrs, pos + skip),
-                           default=0)
-                if last >= total:
-                    raise SerializationError(
-                        f"corrupt stream: child index {last} of {total} "
-                        f"objects")
-            records.append((kind, tag, length, pos, skip))
-            pos += nbytes
-        if seen != total:
-            raise SerializationError(
-                f"corrupt stream: {seen} records, expected {total}")
-        return records, sizes, total
+            append(pos)
+            kind, tag, length = unpack(data, pos)
+            if kind or tag >= known_tags:  # not an object record
+                if kind != _REC_PACKED or not length or tag not in _PACKABLE:
+                    raise SerializationError(f"corrupt record: kind {kind}, "
+                                             f"tag {tag}, length {length}")
+                length *= 8
+            pos += head_size + length
+        if pos > end:  # only the last record can run past the end
+            raise SerializationError("truncated record payload")
+    except struct.error:
+        failure = SerializationError("truncated record header")
+    except SerializationError as err:
+        failure = err
+    if failure is not None:
+        heads.pop()  # raised once the records before it are checked
+    head = np.frombuffer(heads, np.int64)
+    off = head + head_size
+    u64_at = np.ndarray((end - 7,), "<u8", data, 0, (1,))
+    tag = np.ndarray((end - 3,), "<u4", data, 0, (1,))[head + 1]
+    length = u64_at[head + 5].astype(np.int64)
+    packed = np.frombuffer(data, np.uint8)[head].nonzero()[0]
+    ptr_at = _POINTER_AT[tag]
+    ptr_at[packed] = -1
+    holders = (ptr_at >= 0).nonzero()[0]
+    nptrs, odd = np.divmod(length[holders] - ptr_at[holders], PTR_SIZE)
+    shapeless = (odd != 0) | (nptrs < 0)
+    nptrs[shapeless] = 0
+    slot_rec = holders.repeat(nptrs)
+    slot_at = ((off[holders] + ptr_at[holders] - PTR_SIZE
+                * (nptrs.cumsum() - nptrs)).repeat(nptrs)
+               + PTR_SIZE * np.arange(len(slot_rec)))
+    child = u64_at[slot_at]
+    dangling, shapeless = slot_rec[child >= total], holders[shapeless]
+    if len(shapeless) and (not len(dangling) or shapeless[0] <= dangling[0]):
+        raise SerializationError(
+            f"corrupt stream: {length[shapeless[0]]}-byte container")
+    if len(dangling):
+        raise SerializationError(
+            f"corrupt stream: child index "
+            f"{child[slot_rec == dangling[0]].max()} of {total} objects")
+    if failure is not None:
+        raise failure
+    seen = len(head) - len(packed) + int(length[packed].sum())
+    if seen != total:
+        raise SerializationError(
+            f"corrupt stream: {seen} records, expected {total}")
+    sizes = length + HEADER_SIZE
+    sizes[packed] = length[packed] * _PRIM_SLOT
+    return _Records(total, u64_at, off, tag, length, ptr_at, sizes, packed,
+                    slot_rec, slot_at, child.astype(np.int64))
+
+
+def _stage(space, data: bytes, rec: _Records, bases: List[int]
+           ) -> Tuple[List[Tuple[int, memoryview]], int]:
+    """The objects laid out in an image of the pages they touch (rows in
+    ascending page order, so an object is one slice of it), as ``(write
+    items, page walks beyond one per page)``.  Bytes no object covers keep
+    the frame's (a page not yet mapped is demand-zero).  One item per run
+    of adjacent pages, in the order the per-object writes first touched
+    them, gives their faults and CoW breaks, on the same frames; those
+    writes walked every page of each run of exactly adjacent objects."""
+    base = np.fromiter(bases, np.int64, len(bases))
+    end = base + rec.sizes
+    first_page = base >> PAGE_SHIFT
+    span = ((end - 1) >> PAGE_SHIFT) - first_page + 1
+    spans_to = span.cumsum()
+    # every (record, page) pair: record by record, ascending within one
+    touched = ((first_page + span - spans_to).repeat(span)
+               + np.arange(spans_to[-1]))
+    by_page = touched.argsort(kind="stable")
+    new = np.ones(len(touched), bool)
+    np.not_equal(touched[by_page[1:]], touched[by_page[:-1]], out=new[1:])
+    vpns = touched[by_page[new]]
+    first_row = vpns.searchsorted(first_page)
+
+    # only a record's first and last page can have bytes no object covers
+    words = np.empty(len(vpns) << (PAGE_SHIFT - 3), np.uint64)
+    image, blank = memoryview(words.view(np.uint8)), []
+    edge = np.zeros(len(vpns), bool)
+    edge[first_row] = edge[first_row + span - 1] = True
+    edge = edge.nonzero()[0]
+    for row, pte in zip(edge.tolist(), map(space.page_table.lookup,
+                                           vpns[edge].tolist())):
+        if pte is None:
+            blank.append(row)
+        else:
+            image[row << PAGE_SHIFT:(row + 1) << PAGE_SHIFT] = \
+                space.physical.frame(pte.pfn).data
+    words.reshape(len(vpns), -1)[blank] = 0
+
+    at = (first_row << PAGE_SHIFT) + (base & (PAGE_SIZE - 1))
+    words[at >> 3] = rec.tag  # flags 0 (a packed run's is redone below)
+    packed = rec.packed  # a run: one block of (tag, 8, value) triples
+    for to, count, src, tag in zip((at[packed] >> 3).tolist(),
+                                   rec.length[packed].tolist(),
+                                   rec.off[packed].tolist(),
+                                   rec.tag[packed].tolist()):
+        block = words[to:to + 3 * count].reshape(count, 3)
+        block[:, 0], block[:, 1] = tag, 8
+        block[:, 2] = np.frombuffer(data, "<u8", count, src)
+    # the rest is the stream's bytes from the record header's length field
+    # to a leaf's end or a container's first pointer slot: a large leaf as
+    # one slice, the others in 8-byte words (the last one ending there)
+    verbatim = np.where(rec.ptr_at < 0, rec.length, rec.ptr_at) + 8
+    verbatim[packed] = 0
+    big = (verbatim >= _BIG_LEAF).nonzero()[0]
+    for src, nbytes, to in zip((rec.off[big] - 8).tolist(),
+                               verbatim[big].tolist(), (at[big] + 8).tolist()):
+        image[to:to + nbytes] = memoryview(data)[src:src + nbytes]
+    verbatim[big] = 0
+    n = (verbatim + 7) >> 3
+    ends = n.cumsum()
+    src = (rec.off - 8).repeat(n) + np.minimum(
+        (np.arange(ends[-1]) - (ends - n).repeat(n)) << 3,
+        (verbatim - 8).repeat(n))
+    shift = at + HEADER_SIZE - rec.off  # stream offset -> image offset
+    np.ndarray((len(words) * 8 - 7,), "<u8", words, 0, (1,))[
+        src + shift.repeat(n)] = rec.u64_at[src]
+    address = base  # of each stream index; a packed run's follow its base
+    if len(packed):
+        count = np.ones(len(base), np.int64)
+        count[packed] = rec.length[packed]
+        address = ((base - _PRIM_SLOT * (count.cumsum() - count)).repeat(count)
+                   + _PRIM_SLOT * np.arange(rec.total))
+    words[(rec.slot_at + shift[rec.slot_rec]) >> 3] = address[rec.child]
+
+    order = by_page[new].argsort()  # rows in first-touch order
+    ordered = vpns[order]
+    cuts = [0, *((ordered[1:] - ordered[:-1] != 1).nonzero()[0] + 1).tolist(),
+            len(order)]
+    runs = [(vpn << PAGE_SHIFT, image[row << PAGE_SHIFT:
+                                      (row + stop - start) << PAGE_SHIFT])
+            for vpn, row, start, stop in zip(ordered[cuts[:-1]].tolist(),
+                                             order[cuts[:-1]].tolist(),
+                                             cuts, cuts[1:])]
+    # an object in one item with the one before it shares its first walk
+    shared = (base[1:] == end[:-1]) & (base[1:] & (PAGE_SIZE - 1) != 0)
+    return runs, len(touched) - int(shared.sum()) - len(vpns)

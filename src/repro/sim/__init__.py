@@ -14,14 +14,3 @@ Sequential composition of sub-coroutines uses plain ``yield from``.
 from repro.sim.engine import Engine, Process, Timeout, AllOf, AnyOf
 from repro.sim.event import Event
 from repro.sim.resources import Resource, Store
-
-__all__ = [
-    "Engine",
-    "Process",
-    "Timeout",
-    "Event",
-    "AllOf",
-    "AnyOf",
-    "Resource",
-    "Store",
-]

@@ -29,21 +29,3 @@ from repro.transfer.naos import NaosTransport
 from repro.transfer.adaptive import AdaptiveTransport
 from repro.transfer.compressed import CompressedMessagingTransport
 from repro.transfer.registry import get_transport, list_transports
-
-__all__ = [
-    "get_transport",
-    "list_transports",
-    "Endpoint",
-    "StateTransport",
-    "StateHandle",
-    "TransferToken",
-    "TransferBreakdown",
-    "STAGE_CATEGORIES",
-    "MessagingTransport",
-    "StorageTransport",
-    "StorageRdmaTransport",
-    "RmmapTransport",
-    "NaosTransport",
-    "AdaptiveTransport",
-    "CompressedMessagingTransport",
-]

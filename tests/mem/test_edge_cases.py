@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import MemoryError_, OutOfMemory, SegmentationFault
 from repro.mem import (PAGE_SIZE, AddressRange, AddressSpace, AnonymousVMA,
-                       PhysicalMemory, SegmentLayout)
+                       HeapAllocator, PhysicalMemory, SegmentLayout)
 from repro.mem.pagetable import PTE, PTE_PRESENT, PageTable
 
 BASE = 0x1000_0000
@@ -107,6 +107,21 @@ def test_physical_capacity_pressure_surfaces_as_oom():
     space.write(BASE + PAGE_SIZE, b"2")
     with pytest.raises(OutOfMemory):
         space.write(BASE + 2 * PAGE_SIZE, b"3")
+
+
+def test_allocator_says_fragmented_only_when_enough_is_free():
+    holes = HeapAllocator(AddressRange(BASE, BASE + 256))
+    blocks = [holes.alloc(32) for _ in range(8)]
+    for addr in blocks[::2]:
+        holes.free(addr)  # 128 bytes free, in four 32-byte holes
+    with pytest.raises(OutOfMemory, match=r"^heap exhausted: need 128 bytes, "
+                       r"128 free \(fragmented\)$"):
+        holes.alloc(128)
+    full = HeapAllocator(AddressRange(BASE, BASE + 256))
+    full.alloc(160)  # 96 bytes free, in one block
+    with pytest.raises(OutOfMemory, match=r"^heap exhausted: need 128 bytes, "
+                       r"96 free$"):
+        full.alloc(128)
 
 
 def test_segment_layout_rejects_tiny_range():

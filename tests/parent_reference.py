@@ -41,7 +41,7 @@ from repro.runtime import objects as enc
 from repro.runtime.heap import (_PACK_MIN, _PRIM_SLOT, ManagedHeap,
                                 encode_prim_run, is_prim_run)
 from repro.runtime.objects import (CODE_DTYPES, DTYPE_CODES, HEADER_SIZE,
-                                   PTR_SIZE, TypeTag)
+                                   LAYOUT, PTR_SIZE, TypeTag, unpack_pointers)
 from repro.runtime.serializer import SerializedState
 from repro.runtime.traverse import TraversalResult
 from repro.runtime.values import (DataFrameValue, ImageValue, MLModelValue,
@@ -49,7 +49,8 @@ from repro.runtime.values import (DataFrameValue, ImageValue, MLModelValue,
 from repro.units import transfer_time_ns
 
 PRIM_SLOT = HEADER_SIZE + 8
-REC_HEADER = struct.Struct("<BIQ")
+REC_HEADER = _REC_HEADER = struct.Struct("<BIQ")
+_REC_OBJ, _REC_PACKED = 0, 1
 POINTER_OFFSET = {
     TypeTag.LIST: 8, TypeTag.TUPLE: 8, TypeTag.DICT: 8, TypeTag.TREE: 8,
     TypeTag.DATAFRAME: 16, TypeTag.MLMODEL: 24,
@@ -384,6 +385,73 @@ def deserialize_per_object(heap, state, prefix: str = "") -> int:
     heap.ledger.charge(
         transfer_time_ns(len(data), heap.cost.serialize_copy_gbps), category)
     return addrs[0]
+
+
+def scan_per_record(data: bytes) -> Tuple[List[Tuple], List[int], int]:
+    """``Serializer._scan`` as it was before the scan went array-at-a-time
+    (verbatim): validate *data* and slice it into records, allocating
+    nothing.
+
+    Returns ``(records, sizes, object_count)``: one ``(kind, tag,
+    length-or-count, payload offset, pointer-slot offset or None)``
+    and one allocation size per record.
+    """
+    end = len(data)
+    if end < 8:
+        raise SerializationError("truncated stream: missing header")
+    (total,) = struct.unpack_from("<Q", data, 0)
+    # sanity bound: even maximally packed records need >= 8 bytes per
+    # object, so a larger count is a forged/corrupt header (and would
+    # otherwise drive an unbounded host allocation)
+    if not 0 < total <= end:
+        raise SerializationError(
+            f"corrupt stream: claims {total} objects in {end} bytes")
+    records: List[Tuple] = []
+    sizes: List[int] = []
+    unpack_header, header_size = _REC_HEADER.unpack_from, _REC_HEADER.size
+    known_tags = len(LAYOUT)
+    pos = 8
+    seen = 0
+    while pos < end:
+        if pos + header_size > end:
+            raise SerializationError("truncated record header")
+        kind, tag, length = unpack_header(data, pos)
+        pos += header_size
+        if kind == _REC_OBJ and tag < known_tags:
+            nbytes = length
+            sizes.append(HEADER_SIZE + length)
+            seen += 1
+        elif kind == _REC_PACKED and tag < known_tags and length \
+                and LAYOUT[tag].run_code is not None:
+            nbytes = 8 * length
+            sizes.append(length * _PRIM_SLOT)
+            seen += length
+        else:
+            raise SerializationError(
+                f"corrupt record: kind {kind}, tag {tag}, length {length}")
+        if pos + nbytes > end:
+            raise SerializationError("truncated record payload")
+        skip = LAYOUT[tag].pointers if kind == _REC_OBJ else None
+        if skip is not None:
+            nptrs, rest = divmod(length - skip, PTR_SIZE)
+            if nptrs < 0 or rest:
+                raise SerializationError(
+                    f"corrupt stream: {length}-byte container")
+            # checked here, unpacked again when written: holding every
+            # container's indices across the allocation costs ~40 B
+            # per child of peak memory
+            last = max(unpack_pointers(data, nptrs, pos + skip),
+                       default=0)
+            if last >= total:
+                raise SerializationError(
+                    f"corrupt stream: child index {last} of {total} "
+                    f"objects")
+        records.append((kind, tag, length, pos, skip))
+        pos += nbytes
+    if seen != total:
+        raise SerializationError(
+            f"corrupt stream: {seen} records, expected {total}")
+    return records, sizes, total
 
 
 class PerObjectHeap(ManagedHeap):

@@ -1,5 +1,6 @@
 """Differential tests: run-at-a-time ``box`` / ``load`` / ``traverse`` /
-``serialize`` / ``gc`` against the per-object code they replaced.
+``serialize`` / ``gc`` and the array-pass ``deserialize`` against the
+per-object code they replaced.
 
 ``tests/parent_reference.py`` keeps the old implementations.  Every test
 here prepares two identical simulated machines, runs the reference on one
@@ -37,9 +38,10 @@ from repro.runtime.values import (DataFrameValue, ImageValue, MLModelValue,
 from repro.units import MB
 
 from ..parent_reference import (PerObjectHeap, RecordingLineage,
-                                allocator_state, read_per_page,
-                                serialize_per_object, space_state,
-                                traverse_per_object, write_per_page)
+                                allocator_state, deserialize_per_object,
+                                read_per_page, serialize_per_object,
+                                space_state, traverse_per_object,
+                                write_per_page)
 
 _CI_PROFILE = settings.get_profile("differential-ci")
 
@@ -369,6 +371,51 @@ def test_readers_equal_the_per_object_readers(graph, reader, remote):
 def test_readers_equal_the_per_object_readers_at_the_edges(edge, reader,
                                                            remote):
     assert_reader_equal(EDGES[edge], reader, remote)
+
+
+# --- deserialize ---------------------------------------------------------------------
+
+def assert_deserialize_equal(value, setting, sizes=(), freed=(),
+                             lineage=True):
+    """The stream of *value* rebuilt on a consumer heap in *setting*, by
+    the per-object reference and by ``Serializer.deserialize``, under a
+    hub: the same root, allocator state, pages (gap bytes and PTE flags
+    included), faults, CoW breaks, ledger by category, ``objects_boxed``,
+    hub counter and gauge totals and lineage report."""
+    producer, _consumer = endpoints(reference=False)
+    state = Serializer("p-").serialize(producer.heap,
+                                       producer.heap.box(value))
+    seen = []
+    for reference in (True, False):
+        _producer, consumer = endpoints(reference=False)
+        hub = Telemetry()
+        if lineage:
+            hub.enable_lineage()
+        with capture(hub):
+            prepare(consumer, setting, sizes, freed)
+            root = (deserialize_per_object(consumer.heap, state, "p-")
+                    if reference else
+                    Serializer("p-").deserialize(consumer.heap, state))
+        seen.append((root, everything(consumer), hub.counters, hub.gauges,
+                     lineage and hub.lineage.report()))
+    assert seen[1] == seen[0]
+
+
+@budget(40)
+@given(graphs, st.sampled_from(SETTINGS), hole_sizes, hole_freed,
+       st.booleans())
+def test_deserialize_equals_the_per_object_deserialize(graph, setting, sizes,
+                                                       freed, lineage):
+    assert_deserialize_equal(graph, setting, sizes, freed, lineage)
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+@pytest.mark.parametrize("edge", sorted(EDGES))
+def test_deserialize_equals_the_per_object_deserialize_at_the_edges(edge,
+                                                                    setting):
+    assert_deserialize_equal(EDGES[edge], setting,
+                             sizes=[40, 24, 4000, 16, 24, 700],
+                             freed={0, 2, 3, 5})
 
 
 # --- rule (a): aggregate, never skip — lineage included ------------------------------

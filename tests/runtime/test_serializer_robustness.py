@@ -11,9 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.microbench import make_pair
-from repro.errors import ReproError, SerializationError
+from repro.errors import OutOfMemory, ReproError, SerializationError
+from repro.mem import (PAGE_SIZE, AddressRange, AddressSpace, AnonymousVMA,
+                       PhysicalMemory)
+from repro.runtime.heap import ManagedHeap
 from repro.runtime.serializer import SerializedState, Serializer
+from repro.runtime.values import DataFrameValue
 from repro.units import MB
+
+from ..parent_reference import allocator_state, scan_per_record
 
 
 def fresh_consumer():
@@ -164,3 +170,85 @@ def test_bitflip_in_valid_stream_fails_or_roundtrips(values):
     except (struct.error, IndexError, ValueError, KeyError, TypeError,
             UnicodeDecodeError, OverflowError):
         pass
+
+
+@pytest.mark.parametrize("heap_bytes, frames", [
+    (1 * MB, None),      # the run does not fit: alloc_run's first-fit fails
+    (8 * MB, 64),        # it fits, but the write runs out of frames
+], ids=["heap-full", "frames-exhausted"])
+def test_a_failed_deserialize_frees_what_it_allocated(heap_bytes, frames):
+    """All or nothing, like ``box``: an ``OutOfMemory`` part-way through
+    leaves the allocator as it was (its high-water mark aside)."""
+    physical = (PhysicalMemory() if frames is None
+                else PhysicalMemory(capacity_bytes=frames * PAGE_SIZE))
+    space = AddressSpace(physical, name="small")
+    rng = AddressRange(0x1000_0000, 0x1000_0000 + heap_bytes)
+    space.map_vma(AnonymousVMA(rng))
+    heap = ManagedHeap(space, rng=rng)
+    kept = heap.box(["kept", 1, 2.5])
+    holes = [heap.allocator.alloc(size) for size in (64, 16, 4000, 32, 16)]
+    for addr in holes[::2]:
+        heap.allocator.free(addr)
+    before = allocator_state(heap.allocator)
+    before.pop("high_water")
+    state = SerializedState(valid_stream([f"{i:020d}" for i in range(20_000)]),
+                            20_001)
+    with pytest.raises(OutOfMemory):
+        Serializer().deserialize(heap, state)
+    after = allocator_state(heap.allocator)
+    after.pop("high_water")
+    assert after == before
+    assert heap.load(kept) == ["kept", 1, 2.5]
+    small = SerializedState(valid_stream({"k": [1, 2]}), 4)
+    assert heap.load(Serializer().deserialize(heap, small)) == {"k": [1, 2]}
+
+
+PARITY_STREAMS = {
+    "dict": {"k": "v", "n": [1, 2.5, None], "b": b"xyz"},
+    "dataframe": DataFrameValue({"sym": ["a", "bb"], "px": [1.5, 2.0],
+                                 "qty": [10, 20]}),
+    "packed-list": list(range(64)),
+}
+
+
+def mutations(data: bytes):
+    """Every truncation of *data* and every single-byte flip of it."""
+    for cut in range(len(data)):
+        yield data[:cut]
+    for pos in range(len(data)):
+        for flip in (0x01, 0xFF):
+            mutated = bytearray(data)
+            mutated[pos] ^= flip
+            yield bytes(mutated)
+
+
+def outcome(fn):
+    try:
+        fn()
+    except Exception as err:  # noqa: BLE001 - compared, not handled
+        return type(err), str(err)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_STREAMS))
+def test_malformed_streams_raise_what_the_record_by_record_scan_raised(name):
+    """The same exception type and message as the parent's scan for every
+    truncation and byte flip of a valid stream — the heap left as it was —
+    and a stream that scan accepted is rebuilt."""
+    heap = fresh_consumer()
+    heap.box(["survivor", 1.5])
+    for data in mutations(valid_stream(PARITY_STREAMS[name])):
+        expected = outcome(lambda: scan_per_record(data))
+        before = (heap.bytes_in_use(), heap.allocator.allocations(),
+                  heap.objects_boxed, heap.space.resident_pages(),
+                  heap.ledger.breakdown())
+        seen = outcome(lambda: Serializer().deserialize(
+            heap, SerializedState(data, 0)))
+        assert seen == expected, data
+        if expected is not None:
+            assert (heap.bytes_in_use(), heap.allocator.allocations(),
+                    heap.objects_boxed, heap.space.resident_pages(),
+                    heap.ledger.breakdown()) == before
+        else:  # accepted: free what it allocated for the next case
+            for addr in heap.allocator.allocations_dict()[before[1]:]:
+                heap.allocator.free(addr)
