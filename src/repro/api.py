@@ -203,13 +203,10 @@ class RunResult(BaseRunResult):
         return obs.diff_traces(self.span_tree(), other.span_tree())
 
 
-def _resolve_transport(transport: Union[str, StateTransport],
-                       **opts) -> StateTransport:
+def _resolve_transport(transport: Union[str, StateTransport]
+                       ) -> StateTransport:
     if isinstance(transport, str):
-        return get_transport(transport, **opts)
-    if opts:
-        raise ValueError("transport options need a transport *name*, "
-                         "not an instance")
+        return get_transport(transport)
     return transport
 
 
@@ -237,8 +234,7 @@ def run(workload: str,
         monitor: Union[None, bool, "obs.FleetMonitor"] = None,
         profile: bool = False, lineage: bool = False,
         params: Optional[Dict[str, Any]] = None,
-        n_machines: int = 10, prewarm: bool = True,
-        transport_opts: Optional[Dict[str, Any]] = None) -> RunResult:
+        n_machines: Optional[int] = None) -> RunResult:
     """Run one workflow invocation end to end and return the results.
 
     *workload* is a name from :func:`workloads` (``finra``,
@@ -248,6 +244,8 @@ def run(workload: str,
     *scale* shrinks the paper-scale inputs (default: the
     ``REPRO_BENCH_SCALE`` environment variable); *params* overrides
     individual workload knobs on top of the scaled defaults.
+    *n_machines* sizes the cluster (default: 10, or the chaos runner's
+    6 under ``chaos=``).
     ``profile=True`` collects the causal span profile (it simply implies
     a telemetry hub — spans ride on it).
 
@@ -262,7 +260,8 @@ def run(workload: str,
     instead (kwargs forwarded to
     :func:`repro.chaos.runner.run_chaos_workflow`, e.g. ``requests``,
     ``schedule``, ``policy``); the report lands on
-    ``RunResult.chaos_report``.
+    ``RunResult.chaos_report``.  A chaos run uses the workload's default
+    inputs, so it refuses *params*.
 
     ``monitor=True`` (or an existing :class:`~repro.obs.FleetMonitor`)
     attaches streaming SLO monitoring to the hub for the duration of the
@@ -282,6 +281,9 @@ def run(workload: str,
 
     if (profile or lineage) and (telemetry is None or telemetry is False):
         telemetry = True
+    if chaos is not None and params:
+        raise ValueError("chaos runs use the workload's default params; "
+                         "pass params= or chaos=, not both")
 
     configs = workflow_configs(scale)
     if workload not in configs:
@@ -305,10 +307,14 @@ def run(workload: str,
     try:
         if chaos is not None:
             from repro.chaos.runner import run_chaos_workflow
-            transport_obj = _resolve_transport(transport,
-                                               **(transport_opts or {}))
+            transport_obj = _resolve_transport(transport)
             kwargs = dict(chaos)
             kwargs.setdefault("transport_factory", lambda: transport_obj)
+            if n_machines is not None:
+                if kwargs.get("n_machines", n_machines) != n_machines:
+                    raise ValueError("n_machines= and chaos['n_machines'] "
+                                     "disagree")
+                kwargs["n_machines"] = n_machines
             with scope:
                 report = run_chaos_workflow(workload=workload, seed=seed,
                                             scale=scale, **kwargs)
@@ -321,15 +327,14 @@ def run(workload: str,
         from repro.platform.cluster import ServerlessPlatform
         from repro.sim.rng import make_rng
 
-        transport_obj = _resolve_transport(transport,
-                                           **(transport_opts or {}))
+        transport_obj = _resolve_transport(transport)
         with scope:
-            platform = ServerlessPlatform(n_machines=n_machines,
-                                          rng=make_rng(seed))
+            platform = ServerlessPlatform(
+                n_machines=10 if n_machines is None else n_machines,
+                rng=make_rng(seed))
             workflow = builder()
             platform.deploy(workflow, transport_obj)
-            if prewarm:
-                platform.prewarm(workflow.name, _light_params(merged))
+            platform.prewarm(workflow.name, _light_params(merged))
             record = platform.run_once(workflow.name, merged)
         if hub is not None:
             obs.rollup_record(hub, record)
@@ -342,7 +347,8 @@ def run(workload: str,
 
 
 def run_fleet(spec=None, *, seed: int = 0, tenants=None,
-              n_shards: int = 4, duration_s: float = 10.0,
+              n_shards: Optional[int] = None,
+              duration_s: Optional[float] = None,
               smoke: bool = False, scale_up: Optional[str] = None,
               telemetry: Union[None, bool, "obs.Telemetry"] = None,
               monitor: Union[None, bool, "obs.FleetMonitor"] = None,
@@ -352,37 +358,43 @@ def run_fleet(spec=None, *, seed: int = 0, tenants=None,
 
     Either pass a ready-made :class:`~repro.fleet.runner.FleetSpec` as
     *spec*, or let this façade assemble one: ``smoke=True`` gives the
-    small CI configuration
-    (:func:`~repro.fleet.runner.smoke_spec`); otherwise *tenants*
-    (default: :func:`~repro.fleet.traffic.default_tenants` of eight),
-    *n_shards*, *duration_s* and any other :class:`FleetSpec` field via
-    ``**kwargs``.  ``telemetry`` / ``monitor`` share an existing hub or
-    monitor with the run (fresh ones are created by default).  Same spec
-    + same seed → byte-identical ``FleetResult.to_json()``.
+    small CI configuration (:func:`~repro.fleet.runner.smoke_spec`),
+    which takes only *seed* and *scale_up* and refuses every sizing
+    argument; otherwise *tenants* (default:
+    :func:`~repro.fleet.traffic.default_tenants` of eight), *n_shards*
+    (default 4), *duration_s* (default 10) and any other
+    :class:`FleetSpec` field via ``**kwargs``.  ``telemetry`` /
+    ``monitor`` share an existing hub or monitor with the run (fresh
+    ones are created by default).  Same spec + same seed →
+    byte-identical ``FleetResult.to_json()``.
     """
-    from repro.fleet import (FleetSpec, default_tenants,
+    from repro.fleet import (FleetSpec, ScaleUpConfig, default_tenants,
                              run_fleet as _run_fleet, smoke_spec)
 
-    if spec is None:
-        if scale_up is not None:
-            from repro.fork import ScaleUpConfig
-            kwargs["scale_up"] = ScaleUpConfig.from_kind(scale_up)
-        if smoke:
-            spec = smoke_spec(seed=seed)
-            if "scale_up" in kwargs:
-                spec.scale_up = kwargs["scale_up"]
-        else:
-            if tenants is None:
-                tenants = default_tenants(8)
-            spec = FleetSpec(tenants=tenants, seed=seed,
-                             n_shards=n_shards, duration_s=duration_s,
-                             **kwargs)
-    elif tenants is not None or kwargs or smoke or scale_up:
-        raise ValueError("pass either a FleetSpec or assembly kwargs, "
-                         "not both")
+    given = sorted(list(kwargs) + [
+        name for name, value in (("tenants", tenants),
+                                 ("n_shards", n_shards),
+                                 ("duration_s", duration_s))
+        if value is not None])
+    if spec is not None:
+        if given or smoke or scale_up is not None:
+            raise ValueError("pass either a FleetSpec or assembly kwargs, "
+                             "not both")
+    elif smoke:
+        if given:
+            raise ValueError("smoke=True runs the fixed smoke spec and "
+                             f"would ignore {', '.join(given)}")
+        spec = smoke_spec(seed=seed)
+    else:
+        spec = FleetSpec(
+            tenants=default_tenants(8) if tenants is None else tenants,
+            seed=seed, n_shards=4 if n_shards is None else n_shards,
+            duration_s=10.0 if duration_s is None else duration_s,
+            **kwargs)
+    if scale_up is not None:
+        spec.scale_up = ScaleUpConfig.from_kind(scale_up)
     hub = _resolve_hub(telemetry)
     mon = _resolve_monitor(monitor)
     if lineage:
         spec = dataclasses.replace(spec, lineage=True)
     return _run_fleet(spec, hub=hub, monitor=mon)
-

@@ -49,9 +49,6 @@ def run_chaos_workflow(workload: str = "ml-prediction", *,
                        transport_factory: Optional[Callable] = None,
                        policy: Optional[ResiliencePolicy] = None,
                        scale: Optional[float] = None,
-                       lease_ns: int = CHAOS_LEASE_NS,
-                       grace_ns: int = CHAOS_GRACE_NS,
-                       scan_interval_ns: int = CHAOS_SCAN_INTERVAL_NS,
                        monitor=None) -> ChaosReport:
     """Run *requests* invocations of one Fig-14 workflow under faults.
 
@@ -85,13 +82,11 @@ def run_chaos_workflow(workload: str = "ml-prediction", *,
         return _run_chaos(
             workload, seed=seed, requests=requests, n_machines=n_machines,
             schedule=schedule, transport_factory=transport_factory,
-            policy=policy, scale=scale, lease_ns=lease_ns,
-            grace_ns=grace_ns, scan_interval_ns=scan_interval_ns)
+            policy=policy, scale=scale)
 
 
 def _run_chaos(workload: str, *, seed, requests, n_machines, schedule,
-               transport_factory, policy, scale, lease_ns, grace_ns,
-               scan_interval_ns) -> ChaosReport:
+               transport_factory, policy, scale) -> ChaosReport:
     from repro.bench.figures_workflow import (_light_params,
                                               workflow_configs)
     from repro.platform.cluster import ServerlessPlatform
@@ -141,7 +136,8 @@ def _run_chaos(workload: str, *, seed, requests, n_machines, schedule,
                          f"{len(fids)} registrations")
 
     scanners = [engine.spawn(
-        machine.kernel.lease_scanner(scan_interval_ns, lease_ns, grace_ns,
+        machine.kernel.lease_scanner(CHAOS_SCAN_INTERVAL_NS,
+                                     CHAOS_LEASE_NS, CHAOS_GRACE_NS,
                                      on_reclaim=on_reclaim),
         name=f"lease-scan@{machine.mac_addr}")
         for machine in platform.machines]
@@ -185,8 +181,8 @@ def _run_chaos(workload: str, *, seed, requests, n_machines, schedule,
                                   "budget; likely deadlocked")
 
     # let the lease scanners sweep any orphans, then retire them
-    engine.run(until=engine.now + lease_ns + grace_ns
-               + 3 * scan_interval_ns)
+    engine.run(until=engine.now + CHAOS_LEASE_NS + CHAOS_GRACE_NS
+               + 3 * CHAOS_SCAN_INTERVAL_NS)
     for scanner in scanners:
         scanner.interrupt()
     engine.run(until=engine.now)

@@ -4,7 +4,7 @@ A :class:`FaultSchedule` is the deterministic contract of a chaos run: the
 same schedule armed on the same seeded simulation must produce a
 byte-identical event trace.  :func:`random_schedule` derives a schedule
 from a :class:`~repro.sim.rng.SeededRng`, so "random" chaos is still
-replayable from ``(seed, knobs)``.
+replayable from its seed.
 """
 
 from __future__ import annotations
@@ -49,51 +49,47 @@ class FaultSchedule:
                 f"{self.fingerprint()[:8]}>")
 
 
+#: The seeded mixed schedule's shape: one machine crash (restarting
+#: after RESTART_AFTER_NS), LINK_FLAPS link flaps (each down for
+#: FLAP_DOWN_NS), one QP break, one SPIKE_FACTOR x latency spike lasting
+#: SPIKE_DURATION_NS, one OOM kill and one coordinator crash (failing
+#: over in FAILOVER_NS).
+LINK_FLAPS = 2
+RESTART_AFTER_NS = seconds(0.05)
+FLAP_DOWN_NS = ms(5)
+SPIKE_FACTOR = 4.0
+SPIKE_DURATION_NS = ms(20)
+FAILOVER_NS = ms(10)
+
+
 def random_schedule(machine_macs: Sequence[str], rng: SeededRng,
                     horizon_ns: int,
-                    start_ns: int = 0,
-                    machine_crashes: int = 1,
-                    link_flaps: int = 2,
-                    qp_breaks: int = 1,
-                    latency_spikes: int = 1,
-                    oom_kills: int = 1,
-                    coordinator_crashes: int = 1,
-                    restart_after_ns: int = seconds(0.05),
-                    flap_down_ns: int = ms(5),
-                    spike_factor: float = 4.0,
-                    spike_duration_ns: int = ms(20),
-                    failover_ns: int = ms(10)) -> FaultSchedule:
+                    start_ns: int = 0) -> FaultSchedule:
     """A seeded mixed-fault schedule over ``[start_ns, start_ns+horizon)``.
 
-    Draw order is fixed (crashes, flaps, qp breaks, spikes, oom kills,
-    coordinator crashes) so a given seed always yields the same schedule.
+    Draw order is fixed (crash, flaps, qp break, spike, oom kill,
+    coordinator crash) so a given seed always yields the same schedule.
     Machines are drawn from ``machine_macs``; pass a subset to protect
     e.g. the machine hosting a victim-sensitive baseline.
     """
     macs = list(machine_macs)
-    if not macs and (machine_crashes or link_flaps or qp_breaks
-                     or latency_spikes):
-        raise ValueError("machine faults requested but no machines given")
-    faults: List[Fault] = []
+    if not macs:
+        raise ValueError("a mixed fault schedule needs at least one "
+                         "machine")
 
     def when() -> int:
         return start_ns + rng.uniform_ns(0, max(0, horizon_ns - 1))
 
-    for _ in range(machine_crashes):
-        faults.append(MachineCrash(at_ns=when(), machine=rng.choice(macs),
-                                   restart_after_ns=restart_after_ns))
-    for _ in range(link_flaps):
+    faults: List[Fault] = [
+        MachineCrash(at_ns=when(), machine=rng.choice(macs),
+                     restart_after_ns=RESTART_AFTER_NS)]
+    for _ in range(LINK_FLAPS):
         faults.append(LinkFlap(at_ns=when(), machine=rng.choice(macs),
-                               down_ns=flap_down_ns))
-    for _ in range(qp_breaks):
-        faults.append(QpBreak(at_ns=when(), machine=rng.choice(macs)))
-    for _ in range(latency_spikes):
-        faults.append(LatencySpike(at_ns=when(), machine=rng.choice(macs),
-                                   factor=spike_factor,
-                                   duration_ns=spike_duration_ns))
-    for _ in range(oom_kills):
-        faults.append(OomKill(at_ns=when()))
-    for _ in range(coordinator_crashes):
-        faults.append(CoordinatorCrash(at_ns=when(),
-                                       failover_ns=failover_ns))
+                               down_ns=FLAP_DOWN_NS))
+    faults.append(QpBreak(at_ns=when(), machine=rng.choice(macs)))
+    faults.append(LatencySpike(at_ns=when(), machine=rng.choice(macs),
+                               factor=SPIKE_FACTOR,
+                               duration_ns=SPIKE_DURATION_NS))
+    faults.append(OomKill(at_ns=when()))
+    faults.append(CoordinatorCrash(at_ns=when(), failover_ns=FAILOVER_NS))
     return FaultSchedule(faults)

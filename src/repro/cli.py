@@ -161,6 +161,13 @@ def _monitor(args) -> int:
     return 0
 
 
+#: ``--shards`` / ``--tenants`` / ``--duration`` when not given (the
+#: flags default to None so ``--smoke`` can refuse an explicit one)
+_FLEET_SHARDS = 4
+_FLEET_TENANTS = 8
+_FLEET_DURATION_S = 10.0
+
+
 def _fleet_spec(args):
     """Assemble the FleetSpec the fleet/triage commands share."""
     from repro.fleet import (FleetSpec, ScaleUpConfig, default_tenants,
@@ -170,9 +177,14 @@ def _fleet_spec(args):
     if args.smoke:
         spec = smoke_spec(seed=seed)
     else:
-        spec = FleetSpec(tenants=default_tenants(args.tenants),
-                         seed=seed, n_shards=args.shards,
-                         duration_s=args.duration)
+        tenants = args.tenants if args.tenants is not None \
+            else _FLEET_TENANTS
+        spec = FleetSpec(
+            tenants=default_tenants(tenants), seed=seed,
+            n_shards=args.shards if args.shards is not None
+            else _FLEET_SHARDS,
+            duration_s=args.duration if args.duration is not None
+            else _FLEET_DURATION_S)
     spec.scale_up = ScaleUpConfig.from_kind(args.scale_up)
     for item in args.fail_shard or ():
         sid, _, at_s = item.partition("@")
@@ -191,7 +203,9 @@ def _fork_bench(args) -> int:
     from repro.fork.bench import fork_bench, render_bench
 
     seed = args.seed if args.seed is not None else 0
-    return _emit(args, fork_bench(seed=seed, duration_s=args.duration),
+    duration_s = args.duration if args.duration is not None \
+        else _FLEET_DURATION_S
+    return _emit(args, fork_bench(seed=seed, duration_s=duration_s),
                  render_bench)
 
 
@@ -363,15 +377,20 @@ def main(argv=None) -> int:
                         help="bench-check/diff/monitor/fleet: output "
                              "format")
     parser.add_argument("--smoke", action="store_true",
-                        help="fleet: the small CI configuration "
-                             "(3 tenants, 2 shards, ~1e3 invocations)")
-    parser.add_argument("--shards", type=int, default=4,
-                        help="fleet: coordinator shard count")
-    parser.add_argument("--tenants", type=int, default=8,
-                        help="fleet: tenant count (default mix of "
-                             "arrival shapes and workloads)")
-    parser.add_argument("--duration", type=float, default=10.0,
-                        help="fleet: simulated seconds of traffic")
+                        help="fleet/triage: the small CI configuration "
+                             "(3 tenants, 2 shards, 6 s, ~1e3 "
+                             "invocations); refuses --shards, --tenants "
+                             "and --duration")
+    parser.add_argument("--shards", type=int, default=None,
+                        help="fleet: coordinator shard count "
+                             f"(default {_FLEET_SHARDS})")
+    parser.add_argument("--tenants", type=int, default=None,
+                        help="fleet: tenant count (default "
+                             f"{_FLEET_TENANTS}, a mix of arrival shapes "
+                             "and workloads)")
+    parser.add_argument("--duration", type=float, default=None,
+                        help="fleet/fork-bench: simulated seconds of "
+                             f"traffic (default {_FLEET_DURATION_S:g})")
     parser.add_argument("--scale-up", choices=("cold", "prewarm", "fork"),
                         default="cold", dest="scale_up",
                         help="fleet/triage: pod scale-up mechanism")
@@ -404,6 +423,14 @@ def main(argv=None) -> int:
     if args.experiment in ("bench-check", "diff") \
             and args.candidate is None:
         parser.error(f"{args.experiment} requires --candidate PATH")
+    if args.smoke and args.experiment in ("fleet", "triage"):
+        ignored = [flag for flag, value in (("--shards", args.shards),
+                                            ("--tenants", args.tenants),
+                                            ("--duration", args.duration))
+                   if value is not None]
+        if ignored:
+            parser.error(f"--smoke runs the fixed smoke fleet; drop "
+                         f"{', '.join(ignored)}")
     handler = _HANDLERS.get(args.experiment)
     if handler is not None:
         return handler(args)

@@ -32,7 +32,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.api import BaseRunResult as _BaseRunResult
 from repro.fleet.admission import AdmissionController
-from repro.fleet.shard import ShardedCoordinator
+from repro.fleet.shard import AUTOSCALE_INTERVAL_NS, ShardedCoordinator
 from repro.fork.policy import SCALE_UP_KINDS, ScaleUpConfig
 from repro.fleet.traffic import TenantSpec, default_tenants
 from repro.obs.monitor import FleetMonitor, PercentileSketch
@@ -43,6 +43,10 @@ from repro.sim.rng import SeededRng, make_rng
 RESULT_SCHEMA = "fleet-result/v2"
 
 _SECOND_NS = 1_000_000_000
+
+#: Extra simulated seconds after the arrival horizon so inflight
+#: invocations can finish before the run is cut off.
+DRAIN_S = 2.0
 
 #: Static per-workload base service times (ns) — sized so the default
 #: SLO guardrails (5 ms e2e) separate fast transports from slow ones.
@@ -141,17 +145,12 @@ class FleetSpec:
     tenants: List[TenantSpec]
     seed: int = 0
     duration_s: float = 10.0
-    #: extra simulated time after the arrival horizon so inflight
-    #: invocations can finish before the run is cut off
-    drain_s: float = 2.0
     n_shards: int = 4
     pods_per_shard: int = 2
     queue_limit: int = 64
-    autoscale: bool = True
     min_pods: int = 1
     max_pods: int = 16
     cold_start_ms: float = 50.0
-    autoscale_interval_ms: float = 100.0
     profile: ServiceProfile = field(default_factory=ServiceProfile)
     #: how shards add pods on scale-up (see :mod:`repro.fork`)
     scale_up: ScaleUpConfig = ScaleUpConfig()
@@ -172,15 +171,15 @@ class FleetSpec:
         return {
             "seed": self.seed,
             "duration_s": self.duration_s,
-            "drain_s": self.drain_s,
+            "drain_s": DRAIN_S,
             "n_shards": self.n_shards,
             "pods_per_shard": self.pods_per_shard,
             "queue_limit": self.queue_limit,
-            "autoscale": self.autoscale,
+            "autoscale": True,
             "min_pods": self.min_pods,
             "max_pods": self.max_pods,
             "cold_start_ms": self.cold_start_ms,
-            "autoscale_interval_ms": self.autoscale_interval_ms,
+            "autoscale_interval_ms": AUTOSCALE_INTERVAL_NS / 1e6,
             "profile": self.profile.to_dict(),
             "shard_failures": [[at_s, sid]
                                for at_s, sid in self.shard_failures],
@@ -189,13 +188,11 @@ class FleetSpec:
         }
 
 
-def smoke_spec(seed: int = 0, n_tenants: int = 3, n_shards: int = 2,
-               duration_s: float = 6.0) -> FleetSpec:
-    """The bounded CI fleet: ~10^3 invocations, 2 shards, 3 tenants."""
-    return FleetSpec(tenants=default_tenants(n_tenants,
-                                             base_rate_rps=60.0),
-                     seed=seed, n_shards=n_shards,
-                     duration_s=duration_s)
+def smoke_spec(seed: int = 0) -> FleetSpec:
+    """The bounded CI fleet: ~10^3 invocations, 2 shards, 3 tenants,
+    6 simulated seconds."""
+    return FleetSpec(tenants=default_tenants(3, base_rate_rps=60.0),
+                     seed=seed, n_shards=2, duration_s=6.0)
 
 
 @dataclass
@@ -355,12 +352,9 @@ def run_fleet(spec: FleetSpec,
                 pods_per_shard=spec.pods_per_shard,
                 queue_limit=spec.queue_limit,
                 admission=admission,
-                autoscale=spec.autoscale,
                 min_pods=spec.min_pods,
                 max_pods=spec.max_pods,
                 cold_start_ns=int(spec.cold_start_ms * 1e6),
-                autoscale_interval_ns=int(
-                    spec.autoscale_interval_ms * 1e6),
                 scale_up=spec.scale_up).start()
             end_ns = int(spec.duration_s * _SECOND_NS)
             for tenant in spec.tenants:
@@ -372,8 +366,7 @@ def run_fleet(spec: FleetSpec,
                 engine.call_at(
                     int(at_s * _SECOND_NS),
                     (lambda sid: lambda: coord.fail_shard(sid))(shard_id))
-            sim_end = engine.run(
-                until=end_ns + int(spec.drain_s * _SECOND_NS))
+            sim_end = engine.run(until=end_ns + int(DRAIN_S * _SECOND_NS))
     finally:
         mon.detach()
     wall_s = time.perf_counter() - wall0

@@ -50,6 +50,13 @@ PLATFORM_LAYER = "platform"
 #: pressure from coordinator-level aggregates.
 FLEET_LAYER = "fleet.shard"
 
+#: Shard autoscaler constants: one scaling decision every 100 ms, targeting
+#: ``ceil(demand * 1.2)`` pods, scaling down only after three
+#: consecutive decisions wanted fewer.
+AUTOSCALE_INTERVAL_NS = 100_000_000
+SHARD_HEADROOM = 1.2
+IDLE_INTERVALS = 3
+
 
 class CoordinatorShard:
     """One coordinator shard: pod slots, a FIFO wait queue, accounting.
@@ -281,39 +288,29 @@ class CoordinatorShard:
 class ShardAutoscaler:
     """KPA-style concurrency autoscaler for one shard.
 
-    Every ``interval_ns`` the scaler reads the shard's observed demand
-    (inflight + queued), targets ``ceil(demand * headroom /
-    target_concurrency)`` pods clamped to ``[min_pods, max_pods]``, and:
+    Every :data:`AUTOSCALE_INTERVAL_NS` the scaler reads the shard's
+    observed demand (inflight + queued), targets ``ceil(demand *
+    SHARD_HEADROOM)`` pods clamped to ``[min_pods, max_pods]``, and:
 
     * scales **up** after ``cold_start_ns`` (pods take time to boot;
       applied via :meth:`Engine.call_at`, so the delay is exact and
       deterministic);
-    * scales **down** immediately but only after ``idle_intervals``
+    * scales **down** immediately but only after :data:`IDLE_INTERVALS`
       consecutive decisions wanted fewer pods (hysteresis against
       thrash).
     """
 
     def __init__(self, engine: Engine, shard: CoordinatorShard,
                  min_pods: int = 1, max_pods: int = 16,
-                 target_concurrency: float = 1.0, headroom: float = 1.2,
                  cold_start_ns: int = 50_000_000,
-                 interval_ns: int = 100_000_000,
-                 idle_intervals: int = 3,
                  scale_up: ScaleUpConfig = ScaleUpConfig()):
         if min_pods < 1 or max_pods < min_pods:
             raise ValueError("need 1 <= min_pods <= max_pods")
-        if target_concurrency <= 0 or headroom <= 0:
-            raise ValueError("target_concurrency and headroom "
-                             "must be positive")
         self.engine = engine
         self.shard = shard
         self.min_pods = int(min_pods)
         self.max_pods = int(max_pods)
-        self.target_concurrency = float(target_concurrency)
-        self.headroom = float(headroom)
         self.cold_start_ns = int(cold_start_ns)
-        self.interval_ns = int(interval_ns)
-        self.idle_intervals = int(idle_intervals)
         self.scale_up = scale_up
         self.scale_ups = 0
         self.scale_downs = 0
@@ -338,7 +335,7 @@ class ShardAutoscaler:
 
     def desired_pods(self) -> int:
         demand = self.shard.inflight + len(self.shard.queue)
-        want = math.ceil(demand * self.headroom / self.target_concurrency)
+        want = math.ceil(demand * SHARD_HEADROOM)
         return max(self.min_pods, min(self.max_pods, want))
 
     def evaluate(self) -> None:
@@ -359,7 +356,7 @@ class ShardAutoscaler:
                 self.engine.call_at(now + delay_ns, self._booted(desired))
         elif desired < self.shard.pods:
             self._want_down += 1
-            if self._want_down >= self.idle_intervals:
+            if self._want_down >= IDLE_INTERVALS:
                 self._want_down = 0
                 self.shard.set_pods(desired, self.engine.now)
                 self.scale_downs += 1
@@ -382,7 +379,7 @@ class ShardAutoscaler:
 
     def _loop(self) -> Generator:
         while self.shard.alive:
-            yield Timeout(self.interval_ns)
+            yield Timeout(AUTOSCALE_INTERVAL_NS)
             self.evaluate()
 
     def stats(self) -> Dict[str, Any]:
@@ -409,18 +406,12 @@ class ShardedCoordinator:
                  autoscale: bool = True,
                  min_pods: int = 1, max_pods: int = 16,
                  cold_start_ns: int = 50_000_000,
-                 autoscale_interval_ns: int = 100_000_000,
-                 vnodes: int = 64,
-                 shard_ids: Optional[Iterable[str]] = None,
                  scale_up: ScaleUpConfig = ScaleUpConfig()):
-        if shard_ids is None:
-            if n_shards < 1:
-                raise ValueError("need at least one shard")
-            shard_ids = [f"shard-{i}" for i in range(int(n_shards))]
-        else:
-            shard_ids = [str(s) for s in shard_ids]
+        if n_shards < 1:
+            raise ValueError("need at least one shard")
+        shard_ids = [f"shard-{i}" for i in range(int(n_shards))]
         self.engine = engine
-        self.ring = HashRing(shard_ids, vnodes=vnodes)
+        self.ring = HashRing(shard_ids)
         self.queue_limit = int(queue_limit)
         self.scale_up = scale_up
         self.admission = admission if admission is not None \
@@ -435,9 +426,7 @@ class ShardedCoordinator:
             for sid, shard in self.shards.items():
                 self.autoscalers[sid] = ShardAutoscaler(
                     engine, shard, min_pods=min_pods, max_pods=max_pods,
-                    cold_start_ns=cold_start_ns,
-                    interval_ns=autoscale_interval_ns,
-                    scale_up=scale_up)
+                    cold_start_ns=cold_start_ns, scale_up=scale_up)
         self._started = False
         self.submitted = 0
         self.completed = 0

@@ -9,8 +9,7 @@ resident.  See ``docs/fork.md`` for the design and the fork-bench
 experiment comparing the three mechanisms.
 """
 
-from repro.fork.policy import (MODE_AUTO, MODE_COLD, SCALE_UP_COLD,
-                               SCALE_UP_FORK, SCALE_UP_KINDS,
-                               SCALE_UP_PREWARM, ForkPolicy, ScaleUpConfig)
+from repro.fork.policy import (SCALE_UP_COLD, SCALE_UP_FORK, SCALE_UP_KINDS,
+                               SCALE_UP_PREWARM, ScaleUpConfig)
 from repro.fork.remote import ForkedContainer, remote_fork
 from repro.fork.source import ForkManager, ForkSource, fork_fid, fork_key

@@ -29,8 +29,7 @@ BENCH_SCHEMA = "fork-bench/v1"
 COLD_START_MS = 450.0
 
 
-def bursty_fleet_spec(seed: int, kind: str, duration_s: float = 6.0,
-                      cold_start_ms: float = COLD_START_MS):
+def bursty_fleet_spec(seed: int, kind: str, duration_s: float = 6.0):
     """One all-bursty fleet spec, identical across *kind* values except
     for the scale-up mechanism — traffic draws from per-tenant named
     rng streams, so all three runs see byte-identical arrivals."""
@@ -53,7 +52,7 @@ def bursty_fleet_spec(seed: int, kind: str, duration_s: float = 6.0,
                      duration_s=duration_s, n_shards=2,
                      pods_per_shard=2, queue_limit=4096,
                      min_pods=1, max_pods=16,
-                     cold_start_ms=cold_start_ms,
+                     cold_start_ms=COLD_START_MS,
                      scale_up=ScaleUpConfig.from_kind(kind))
 
 
@@ -61,9 +60,7 @@ def _worst_p99_ms(result) -> float:
     return max(t["p99_ms"] for t in result.tenants)
 
 
-def fork_bench(seed: int = 0, duration_s: float = 6.0,
-               cold_start_ms: float = COLD_START_MS,
-               hub=None) -> Dict[str, Any]:
+def fork_bench(seed: int = 0, duration_s: float = 6.0) -> Dict[str, Any]:
     """Run the three-mechanism comparison; returns a JSON-ready dict.
 
     ``rows[kind]`` carries each run's worst-tenant p99, start-mode
@@ -74,9 +71,8 @@ def fork_bench(seed: int = 0, duration_s: float = 6.0,
     from repro.fleet.runner import run_fleet
     rows: Dict[str, Dict[str, Any]] = {}
     for kind in SCALE_UP_KINDS:
-        result = run_fleet(bursty_fleet_spec(
-            seed, kind, duration_s=duration_s,
-            cold_start_ms=cold_start_ms), hub=hub)
+        result = run_fleet(bursty_fleet_spec(seed, kind,
+                                             duration_s=duration_s))
         totals = result.totals
         rows[kind] = {
             "p99_ms": round(_worst_p99_ms(result), 6),
@@ -99,7 +95,7 @@ def fork_bench(seed: int = 0, duration_s: float = 6.0,
         "schema": BENCH_SCHEMA,
         "seed": seed,
         "duration_s": duration_s,
-        "cold_start_ms": cold_start_ms,
+        "cold_start_ms": COLD_START_MS,
         "rows": rows,
         "comparison": comparison,
     }

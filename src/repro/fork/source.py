@@ -24,7 +24,6 @@ from repro.kernel.registry import VmMeta
 from repro.platform.container import STATE_DEAD, Container
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.fork.policy import ForkPolicy
     from repro.kernel.machine import Machine
 
 PodKey = Tuple[str, str, int]
@@ -101,13 +100,10 @@ class ForkSource:
 class ForkManager:
     """The scheduler's source table plus fork accounting."""
 
-    def __init__(self, policy: Optional["ForkPolicy"] = None):
-        from repro.fork.policy import ForkPolicy
-        self.policy = policy if policy is not None else ForkPolicy()
+    def __init__(self):
         self.sources: Dict[PodKey, ForkSource] = {}
-        #: lifetime counters (read back by stats/tests)
+        #: lifetime fork count (read back by stats/tests)
         self.forks = 0
-        self.prewarm_forks = 0
 
     def source_for(self, key: PodKey,
                    pool: List[Container]) -> Optional[ForkSource]:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.mem.physical import PhysicalMemory
 from repro.net.fabric import Fabric
 from repro.net.rdma import RdmaNic
@@ -12,6 +10,11 @@ from repro.sim.engine import Engine
 from repro.sim.event import Event
 from repro.sim.resources import Resource
 from repro.units import GB, CostModel, DEFAULT_COST_MODEL
+
+#: Every machine's physical memory and CPU cores (the paper's testbed
+#: servers, Section 5.1).
+MACHINE_MEMORY = 64 * GB
+MACHINE_CORES = 24
 
 
 class Machine:
@@ -29,19 +32,18 @@ class Machine:
     """
 
     def __init__(self, mac_addr: str, engine: Engine, fabric: Fabric,
-                 cost: CostModel = DEFAULT_COST_MODEL,
-                 memory_bytes: int = 64 * GB, cores: int = 24):
+                 cost: CostModel = DEFAULT_COST_MODEL):
         from repro.kernel.kernel import Kernel  # avoid import cycle
 
         self.mac_addr = mac_addr
         self.engine = engine
         self.fabric = fabric
         self.cost = cost
-        self.physical = PhysicalMemory(memory_bytes)
+        self.physical = PhysicalMemory(MACHINE_MEMORY)
         self.physical.owner = mac_addr
         self.nic = RdmaNic(mac_addr, fabric, cost)
         self.rpc = RpcEndpoint(mac_addr, fabric, cost)
-        self.cpu = Resource(engine, cores, name=f"{mac_addr}.cpu")
+        self.cpu = Resource(engine, MACHINE_CORES, name=f"{mac_addr}.cpu")
         self.kernel = Kernel(self)
         self.alive = True
         self.incarnation = 0
@@ -78,12 +80,9 @@ class Machine:
 
 
 def make_cluster(engine: Engine, n_machines: int,
-                 cost: CostModel = DEFAULT_COST_MODEL,
-                 memory_bytes: int = 64 * GB, cores: int = 24,
-                 fabric: Optional[Fabric] = None):
+                 cost: CostModel = DEFAULT_COST_MODEL):
     """Convenience: build *n_machines* attached to one fabric."""
-    fabric = fabric if fabric is not None else Fabric()
-    machines = [Machine(f"mac{i}", engine, fabric, cost,
-                        memory_bytes=memory_bytes, cores=cores)
+    fabric = Fabric()
+    machines = [Machine(f"mac{i}", engine, fabric, cost)
                 for i in range(n_machines)]
     return fabric, machines

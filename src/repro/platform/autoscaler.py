@@ -3,9 +3,11 @@
 The scheduler already creates containers on demand (paying cold starts
 inline).  The autoscaler removes those cold starts from the critical path:
 it observes scheduler activity (every acquire/release) and pre-provisions
-warm containers toward ``ceil(demand * headroom)``, Knative's
-concurrency-targeting behaviour — the reason Fig 12's lower row shows the
-slower approaches *gradually* acquiring more pods under a fixed rate.
+warm containers toward ``ceil(demand * HEADROOM)``, Knative's
+concurrency-targeting behaviour.  It is opt-in
+(:meth:`~repro.platform.cluster.ServerlessPlatform.enable_autoscaler`);
+no experiment enables it, so Fig 12's pod counts come from the
+scheduler's on-demand cold starts and warm reuse alone.
 
 The design is event-driven rather than a polling process, so an idle
 autoscaler never keeps the simulation's event queue alive; sustained-idle
@@ -25,27 +27,22 @@ from repro.platform.scheduler import Scheduler
 from repro.sim.engine import Engine
 from repro.units import seconds
 
+#: provision toward ``ceil(demand * HEADROOM)`` containers per function
+HEADROOM = 1.1
+#: a function idle this long has its idle containers reaped
+IDLE_TTL_NS = seconds(5)
+
 
 class Autoscaler:
-    """Watches one deployed workflow and pre-provisions containers."""
+    """Watches one deployed workflow and pre-provisions containers
+    (each a full boot, concurrent with user traffic)."""
 
     def __init__(self, engine: Engine, scheduler: Scheduler,
-                 workflow: Workflow, plan: VmPlan,
-                 headroom: float = 1.1,
-                 idle_ttl_ns: int = seconds(5),
-                 mechanism: str = "prewarm"):
-        if mechanism not in ("prewarm", "fork"):
-            raise ValueError(f"unknown scale-up mechanism {mechanism!r}")
+                 workflow: Workflow, plan: VmPlan):
         self.engine = engine
         self.scheduler = scheduler
         self.workflow = workflow
         self.plan = plan
-        self.headroom = headroom
-        self.idle_ttl_ns = idle_ttl_ns
-        #: how new capacity materializes: ``prewarm`` boots a full
-        #: container; ``fork`` remote-forks a running one when the
-        #: scheduler has a usable source (falling back to a boot)
-        self.mechanism = mechanism
         self._last_busy: Dict[str, int] = defaultdict(int)
         self.provisioned = 0
         self.scaled_down = 0
@@ -64,29 +61,6 @@ class Autoscaler:
         if self._attached:
             self.scheduler.listeners.remove(self._on_activity)
             self._attached = False
-
-    def snapshot(self) -> Dict[str, object]:
-        """A JSON-ready view of scaling activity and current coverage."""
-        per_function = {}
-        for spec in self.workflow.functions:
-            alive = self._pools(spec.name)
-            per_function[spec.name] = {
-                "width": spec.width,
-                "alive": len(alive),
-                "busy": sum(1 for _k, c in alive
-                            if c.state != STATE_IDLE),
-                "last_busy_ns": self._last_busy[spec.name],
-            }
-        return {
-            "workflow": self.workflow.name,
-            "mechanism": self.mechanism,
-            "headroom": self.headroom,
-            "idle_ttl_ns": self.idle_ttl_ns,
-            "provisioned": self.provisioned,
-            "scaled_down": self.scaled_down,
-            "attached": self._attached,
-            "functions": per_function,
-        }
 
     # -- demand sampling -----------------------------------------------------------
 
@@ -112,11 +86,11 @@ class Autoscaler:
         spec = self.workflow.spec(function)
         if demand > 0:
             self._last_busy[function] = now
-            desired = min(spec.width, math.ceil(demand * self.headroom))
+            desired = min(spec.width, math.ceil(demand * HEADROOM))
             for _ in range(desired - len(alive)):
                 if not self._provision_one(function):
                     break
-        elif now - self._last_busy[function] > self.idle_ttl_ns:
+        elif now - self._last_busy[function] > IDLE_TTL_NS:
             self._reap_function(function, alive)
 
     def reap(self) -> int:
@@ -124,7 +98,7 @@ class Autoscaler:
         before = self.scaled_down
         now = self.engine.now
         for spec in self.workflow.functions:
-            if now - self._last_busy[spec.name] > self.idle_ttl_ns:
+            if now - self._last_busy[spec.name] > IDLE_TTL_NS:
                 self._reap_function(spec.name, self._pools(spec.name))
         return self.scaled_down - before
 
@@ -152,30 +126,10 @@ class Autoscaler:
             return False
         key = (self.workflow.name, spec.name, index)
         self.scheduler._per_machine_count[machine.mac_addr] += 1
-        container = self._materialize(key, machine, spec, index)
+        container = Container(machine, spec,
+                              self.plan.slot(spec.name, index))
         container.cached_since = self.engine.now
         self.scheduler._pool[key].append(container)
         self.scheduler._signal_capacity()
         self.provisioned += 1
         return True
-
-    def _materialize(self, key, machine, spec, index) -> Container:
-        """Build the new pod: a remote-forked child when the fork
-        mechanism is on and a same-slot source exists, else a full boot."""
-        slot = self.plan.slot(spec.name, index)
-        manager = self.scheduler.fork_manager
-        if self.mechanism == "fork" and manager is not None \
-                and manager.policy.allows_fork():
-            source = manager.source_for(key, self.scheduler._pool[key])
-            if source is not None:
-                from repro.errors import ForkFailed
-                from repro.fork.remote import remote_fork
-                try:
-                    child = remote_fork(source, machine, spec, slot,
-                                        policy=manager.policy)
-                except ForkFailed:
-                    pass
-                else:
-                    manager.prewarm_forks += 1
-                    return child
-        return Container(machine, spec, slot)

@@ -13,7 +13,7 @@ from repro.platform.scheduler import Scheduler
 from repro.sim.engine import AllOf, Engine, Timeout
 from repro.sim.rng import SeededRng, make_rng
 from repro.transfer.base import StateTransport
-from repro.units import GB, CostModel, DEFAULT_COST_MODEL, seconds
+from repro.units import CostModel, DEFAULT_COST_MODEL, seconds
 
 
 class ServerlessPlatform:
@@ -27,15 +27,13 @@ class ServerlessPlatform:
     def __init__(self, n_machines: int = 10,
                  cost: CostModel = DEFAULT_COST_MODEL,
                  containers_per_machine: int = 24,
-                 machine_memory: int = 64 * GB,
                  engine: Optional[Engine] = None,
                  rng: Optional[SeededRng] = None):
         self.engine = engine if engine is not None else Engine()
         self.cost = cost
         self.rng = rng if rng is not None else make_rng(0)
-        self.fabric, self.machines = make_cluster(
-            self.engine, n_machines, cost=cost,
-            memory_bytes=machine_memory)
+        self.fabric, self.machines = make_cluster(self.engine, n_machines,
+                                                  cost=cost)
         self.scheduler = Scheduler(self.engine, self.machines, cost,
                                    containers_per_machine)
         self._coordinators: Dict[str, WorkflowCoordinator] = {}
@@ -70,13 +68,13 @@ class ServerlessPlatform:
         self._plans[workflow.name] = plan
         return coordinator
 
-    def enable_autoscaler(self, workflow_name: str, **kwargs):
+    def enable_autoscaler(self, workflow_name: str):
         """Attach a KPA-style, event-driven autoscaler to a deployed
         workflow (it observes scheduler activity; no polling process)."""
         from repro.platform.autoscaler import Autoscaler
         scaler = Autoscaler(self.engine, self.scheduler,
                             self.coordinator(workflow_name).workflow,
-                            self._plans[workflow_name], **kwargs)
+                            self._plans[workflow_name])
         self._autoscalers[workflow_name] = scaler
         return scaler.attach()
 
@@ -111,10 +109,10 @@ class ServerlessPlatform:
         self.run_once(workflow_name, params)
         self.scheduler.reset_starts()
 
-    def enable_fork(self, policy=None):
+    def enable_fork(self):
         """Turn on remote-fork scale-up for the whole cluster (see
         :mod:`repro.fork`); returns the scheduler's fork manager."""
-        return self.scheduler.enable_fork(policy)
+        return self.scheduler.enable_fork()
 
     # -- load generation (Fig 12) -----------------------------------------------------
 
@@ -122,22 +120,17 @@ class ServerlessPlatform:
                       rate_per_s: Optional[float] = None,
                       duration_s: float = 1.0,
                       params: Optional[Dict[str, Any]] = None,
-                      poisson: bool = False,
-                      on_complete=None,
                       arrivals=None) -> List[InvocationRecord]:
         """Open-loop client: issue invocations at *rate_per_s* for
         *duration_s* seconds; wait for all to finish; return records.
 
         ``arrivals`` (a :class:`~repro.fleet.traffic.ArrivalProcess`)
-        replaces the fixed-rate/Poisson client with any seeded arrival
-        shape — diurnal, bursty — drawn from its own named rng stream
+        replaces the fixed-rate client with any seeded arrival shape —
+        Poisson, diurnal, bursty — drawn from its own named rng stream
         (``("open-loop", workflow_name)``), so switching shapes never
         perturbs other consumers of the platform rng.  Invocations the
         coordinator's admission controller rejects are skipped (the
         rejection is already recorded on the controller and the hub).
-
-        ``on_complete`` (if given) is called once every invocation has
-        finished — e.g. to stop auxiliary sampler processes.
         """
         from repro.errors import InvocationRejected
 
@@ -145,7 +138,6 @@ class ServerlessPlatform:
             raise ValueError("pass exactly one of rate_per_s/arrivals")
         coordinator = self.coordinator(workflow_name)
         records: List[InvocationRecord] = []
-        rng = self.rng.fork(1)
 
         def submit(procs):
             try:
@@ -159,13 +151,9 @@ class ServerlessPlatform:
             mean_gap = seconds(1.0 / rate_per_s)
             while self.engine.now < deadline:
                 submit(procs)
-                gap = (rng.exponential_ns(mean_gap) if poisson
-                       else mean_gap)
-                yield Timeout(gap)
+                yield Timeout(mean_gap)
             results = yield AllOf(procs)
             records.extend(results)
-            if on_complete is not None:
-                on_complete()
 
         def shaped_client():
             procs = []
@@ -179,8 +167,6 @@ class ServerlessPlatform:
                 submit(procs)
             results = yield AllOf(procs)
             records.extend(results)
-            if on_complete is not None:
-                on_complete()
 
         self.engine.run_process(
             client() if arrivals is None else shaped_client(),

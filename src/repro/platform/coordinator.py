@@ -269,12 +269,18 @@ class WorkflowCoordinator:
         """
         self._suspended_until = max(self._suspended_until,
                                     self.engine.now + int(failover_ns))
-        self.stats.failovers += 1
-        self.stats.note(self.engine.now,
-                        f"coordinator crash, failover {failover_ns} ns")
+        self._absorbed("failovers", "coordinator.failovers",
+                       f"coordinator crash, failover {failover_ns} ns")
+
+    def _absorbed(self, stat: str, counter: str, message: str) -> None:
+        """Account one fault the coordinator absorbed: bump
+        ``stats.<stat>`` and the hub's ``cluster/chaos/<counter>``, and
+        note *message* in the chaos event trace."""
+        setattr(self.stats, stat, getattr(self.stats, stat) + 1)
         hub = _telemetry()
         if hub is not None:
-            hub.count("cluster", "chaos", "coordinator.failovers")
+            hub.count("cluster", "chaos", counter)
+        self.stats.note(self.engine.now, message)
 
     def _control_barrier(self):
         """Stall until any in-progress coordinator failover completes.
@@ -497,12 +503,8 @@ class WorkflowCoordinator:
                 if (policy is None or not recoverable
                         or policy.retry.exhausted(attempt)):
                     raise
-                self.stats.retries += 1
-                hub = _telemetry()
-                if hub is not None:
-                    hub.count("cluster", "chaos", "retries")
-                self.stats.note(
-                    self.engine.now,
+                self._absorbed(
+                    "retries", "retries",
                     f"retry {spec.name}#{index} attempt {attempt + 1} "
                     f"after {type(err).__name__}")
                 yield from self._control_barrier()
@@ -649,12 +651,8 @@ class WorkflowCoordinator:
                     and policy.breaker.is_open(producer_mac,
                                                self.engine.now)):
                 token = self._degraded_token(token)
-                self.stats.fallbacks += 1
-                hub = _telemetry()
-                if hub is not None:
-                    hub.count("cluster", "chaos", "fallbacks")
-                self.stats.note(
-                    self.engine.now,
+                self._absorbed(
+                    "fallbacks", "fallbacks",
                     f"degrade {edge.producer}->{edge.consumer}"
                     f"#{consumer_index} to rpc fetch ({producer_mac})")
             handle = None
@@ -700,20 +698,12 @@ class WorkflowCoordinator:
                 if producer_mac is not None:
                     if policy.breaker.record_failure(producer_mac,
                                                      self.engine.now):
-                        self.stats.breaker_trips += 1
-                        hub = _telemetry()
-                        if hub is not None:
-                            hub.count("cluster", "chaos", "breaker.trips")
-                        self.stats.note(self.engine.now,
-                                        f"breaker open {producer_mac}")
+                        self._absorbed("breaker_trips", "breaker.trips",
+                                       f"breaker open {producer_mac}")
                 if policy.retry.exhausted(attempt):
                     raise
-                self.stats.retries += 1
-                hub = _telemetry()
-                if hub is not None:
-                    hub.count("cluster", "chaos", "retries")
-                self.stats.note(
-                    self.engine.now,
+                self._absorbed(
+                    "retries", "retries",
                     f"retry receive {edge.producer}->{edge.consumer}"
                     f"#{consumer_index} after {type(err).__name__}")
                 # the failed verb/RPC burned its detection timeout
@@ -787,13 +777,8 @@ class WorkflowCoordinator:
             spec = self.workflow.spec(output.function)
             upstream = [p for e in self.workflow.upstream(output.function)
                         for p in inv.instance_procs[e.producer]]
-            self.stats.reexecutions += 1
-            hub = _telemetry()
-            if hub is not None:
-                hub.count("cluster", "chaos", "reexecutions")
-            self.stats.note(
-                self.engine.now,
-                f"reexecute {output.function}#{output.index}")
+            self._absorbed("reexecutions", "reexecutions",
+                           f"reexecute {output.function}#{output.index}")
             proc = self.engine.spawn(
                 self._run_instance(inv, spec, output.index, upstream),
                 name=f"{output.function}#{output.index}~retry")

@@ -49,7 +49,7 @@ class Scheduler:
         #: set by :meth:`enable_fork`; None means the fork path is off
         self.fork_manager = None
 
-    def enable_fork(self, policy=None):
+    def enable_fork(self):
         """Turn on the remote-fork scale-up path (see :mod:`repro.fork`).
 
         With a manager installed, ``acquire`` tries to fork a running
@@ -57,8 +57,8 @@ class Scheduler:
         cold start.  Returns the :class:`~repro.fork.source.ForkManager`.
         """
         from repro.fork.source import ForkManager
-        if self.fork_manager is None or policy is not None:
-            self.fork_manager = ForkManager(policy)
+        if self.fork_manager is None:
+            self.fork_manager = ForkManager()
         return self.fork_manager
 
     def _notify(self, container: Container) -> None:
@@ -198,16 +198,14 @@ class Scheduler:
                       index: int, plan: VmPlan):
         """Sub-coroutine: try to remote-fork a same-slot child onto
         *machine*; returns the ready container, or ``None`` to fall back
-        to a cold start (no usable source, policy off, or a machine died
-        inside the fork window).  Fallbacks are exactly-once: each failed
-        attempt bumps ``fork_fallbacks`` a single time and leaves no
-        partial pool/count state behind.
+        to a cold start (no usable source, or a machine died inside the
+        fork window).  Fallbacks are exactly-once: each failed attempt
+        bumps ``fork_fallbacks`` a single time and leaves no partial
+        pool/count state behind.
         """
         from repro.errors import ForkFailed
         from repro.fork.remote import remote_fork
         manager = self.fork_manager
-        if not manager.policy.allows_fork():
-            return None
         source = manager.source_for(key, self._pool[key])
         if source is None:
             return None
@@ -216,14 +214,10 @@ class Scheduler:
         incarnation = machine.incarnation
         try:
             child = remote_fork(source, machine, spec,
-                                plan.slot(spec.name, index),
-                                policy=manager.policy)
+                                plan.slot(spec.name, index))
         except ForkFailed:
             self._per_machine_count[machine.mac_addr] -= 1
-            self.fork_fallbacks += 1
-            hub = _telemetry()
-            if hub is not None:
-                hub.count("cluster", "platform", "pods.fork_fallbacks")
+            self._fork_fell_back()
             return None
         # the fork's exact cost (auth RPC + QP connect + PTE fetch +
         # working-set pull) was charged to the child's ledger; make it
@@ -233,19 +227,13 @@ class Scheduler:
             # target machine died mid-fork; machine_failed already zeroed
             # its per-machine count, so don't decrement
             child.mark_dead()
-            self.fork_fallbacks += 1
-            hub = _telemetry()
-            if hub is not None:
-                hub.count("cluster", "platform", "pods.fork_fallbacks")
+            self._fork_fell_back()
             return None
         if not source.usable():
             # source machine died mid-pull: the pages never arrived
             child.destroy()
             self._per_machine_count[machine.mac_addr] -= 1
-            self.fork_fallbacks += 1
-            hub = _telemetry()
-            if hub is not None:
-                hub.count("cluster", "platform", "pods.fork_fallbacks")
+            self._fork_fell_back()
             return None
         self.fork_starts += 1
         manager.forks += 1
@@ -257,6 +245,13 @@ class Scheduler:
             hub.count("cluster", "platform", "pods.fork_starts")
             self._observe_pods(hub)
         return child
+
+    def _fork_fell_back(self) -> None:
+        """Count one failed fork attempt; the caller cold-starts."""
+        self.fork_fallbacks += 1
+        hub = _telemetry()
+        if hub is not None:
+            hub.count("cluster", "platform", "pods.fork_fallbacks")
 
     def _signal_capacity(self) -> None:
         if self._capacity_waiters:

@@ -7,7 +7,7 @@ from repro.fleet import ScaleUpConfig
 from repro.fleet.runner import run_fleet, smoke_spec
 from repro.fork.bench import (BENCH_SCHEMA, bursty_fleet_spec, fork_bench,
                               render_bench)
-from repro.fork.policy import (SCALE_UP_COLD, SCALE_UP_FORK,
+from repro.fork.policy import (POD_FRAMES, SCALE_UP_COLD, SCALE_UP_FORK,
                                SCALE_UP_PREWARM)
 
 
@@ -84,8 +84,7 @@ class TestForkBench:
         # ...while prewarm pins max_pods fully-resident the whole run
         rows = bench_report["rows"]
         spec = bursty_fleet_spec(0, SCALE_UP_PREWARM)
-        full_pool = spec.scale_up.pod_frames * spec.max_pods \
-            * spec.n_shards
+        full_pool = POD_FRAMES * spec.max_pods * spec.n_shards
         assert rows[SCALE_UP_PREWARM]["frames"]["mean"] \
             == pytest.approx(full_pool)
 

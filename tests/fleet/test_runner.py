@@ -151,12 +151,10 @@ class TestTenantIsolation:
         function of (seed, its own spec), not of fleet composition."""
         base = default_tenants(2, base_rate_rps=40.0)
         spec_small = FleetSpec(tenants=list(base), seed=0,
-                               duration_s=4.0, n_shards=4,
-                               autoscale=False)
+                               duration_s=4.0, n_shards=4)
         extra = default_tenants(3, base_rate_rps=40.0)[2]
         spec_big = FleetSpec(tenants=list(base) + [extra], seed=0,
-                             duration_s=4.0, n_shards=4,
-                             autoscale=False)
+                             duration_s=4.0, n_shards=4)
         small = run_fleet(spec_small)
         big = run_fleet(spec_big)
         for name in ("tenant-00", "tenant-01"):

@@ -184,8 +184,7 @@ class TestAutoscaler:
         engine = Engine()
         shard = CoordinatorShard(engine, "s", pods=1)
         scaler = ShardAutoscaler(engine, shard, min_pods=1, max_pods=8,
-                                 cold_start_ns=50 * MS,
-                                 interval_ns=100 * MS)
+                                 cold_start_ns=50 * MS)
         scaler.start()
 
         def flood():
@@ -204,8 +203,9 @@ class TestAutoscaler:
         engine = Engine()
         shard = CoordinatorShard(engine, "s", pods=1)
         shard.set_pods(6, 0)
-        scaler = ShardAutoscaler(engine, shard, min_pods=1, max_pods=8,
-                                 interval_ns=100 * MS, idle_intervals=3)
+        # decisions every AUTOSCALE_INTERVAL_NS (100 ms); scale-down
+        # waits for IDLE_INTERVALS (3) in a row
+        scaler = ShardAutoscaler(engine, shard, min_pods=1, max_pods=8)
         scaler.start()
         engine.run(until=250 * MS)
         assert shard.pods == 6  # only 2 idle decisions so far

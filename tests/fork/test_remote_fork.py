@@ -1,10 +1,10 @@
-"""repro.fork unit tests: sources, the fork path, and policy gating."""
+"""repro.fork unit tests: sources, the fork path, and its opt-in."""
 
 import pytest
 
 from repro.errors import ForkFailed
-from repro.fork import (MODE_COLD, ForkManager, ForkPolicy, ForkSource,
-                        ForkedContainer, fork_fid, fork_key, remote_fork)
+from repro.fork import (ForkManager, ForkSource, ForkedContainer,
+                        fork_fid, fork_key, remote_fork)
 from repro.kernel.machine import make_cluster
 from repro.platform.container import STATE_DEAD, Container
 from repro.platform.dag import FunctionSpec, Workflow
@@ -143,9 +143,8 @@ class TestSchedulerForkPath:
             < DEFAULT_COST_MODEL.container_coldstart_ns // 100
         assert c2.machine is not c1.machine  # least-loaded placement
 
-    def test_cold_policy_never_forks(self):
+    def test_without_enable_fork_never_forks(self):
         engine, _m, scheduler, wf, plan = setup()
-        scheduler.enable_fork(ForkPolicy(mode=MODE_COLD))
         acquire(engine, scheduler, wf, plan)
         acquire(engine, scheduler, wf, plan)
         assert scheduler.fork_starts == 0

@@ -164,10 +164,12 @@ def test_autoscaler_detach_stops_observing():
     assert not platform.scheduler.listeners
 
 
-def test_autoscaler_respects_width_bound():
+def test_autoscaler_respects_width_bound(monkeypatch):
+    from repro.platform import autoscaler
+    monkeypatch.setattr(autoscaler, "HEADROOM", 5.0)
     platform = ServerlessPlatform(n_machines=4)
     platform.deploy(make_fanout_workflow(width=4), MessagingTransport())
-    platform.enable_autoscaler("fanout", headroom=5.0)
+    platform.enable_autoscaler("fanout")
     platform.run_closed_loop("fanout", clients=2, requests_per_client=2,
                              params={"n": 64})
     # even with absurd headroom, per-type containers never exceed width

@@ -164,7 +164,9 @@ def test_fleet_replays_identically(monkeypatch):
     for label, engine_cls in (("optimized", Engine),
                               ("reference", ReferenceEngine)):
         monkeypatch.setattr(fleet_runner, "Engine", engine_cls)
-        result = run_fleet(smoke_spec(duration_s=2.0))
+        spec = smoke_spec()
+        spec.duration_s = 2.0
+        result = run_fleet(spec)
         outputs[label] = (result.sim_end_ns, result.to_json())
     assert outputs["optimized"] == outputs["reference"]
 

@@ -129,6 +129,37 @@ def test_run_chaos_delegates_to_chaos_runner():
         result.latency_ns  # no single record under chaos
 
 
+def test_run_chaos_refuses_params():
+    """A chaos run uses the workload's default inputs; params= used to be
+    dropped while RunResult.params still reported it."""
+    with pytest.raises(ValueError, match="params"):
+        run("wordcount", scale=0.02, params={"n_bytes": 64 << 10},
+            chaos={"requests": 2})
+
+
+def test_run_chaos_forwards_n_machines():
+    kwargs = dict(transport="rmmap-prefetch", scale=0.02, seed=1)
+    top = run("wordcount", n_machines=4, chaos={"requests": 2}, **kwargs)
+    inner = run("wordcount", chaos={"requests": 2, "n_machines": 4},
+                **kwargs)
+    assert top.chaos_report.fingerprint() \
+        == inner.chaos_report.fingerprint()
+    with pytest.raises(ValueError, match="n_machines"):
+        run("wordcount", n_machines=4,
+            chaos={"requests": 2, "n_machines": 5}, **kwargs)
+
+
+def test_run_fleet_smoke_refuses_sizing_arguments():
+    """smoke=True runs the fixed smoke spec; sizing arguments used to be
+    dropped without a word."""
+    from repro.api import run_fleet
+    with pytest.raises(ValueError,
+                       match="duration_s, n_shards, queue_limit"):
+        run_fleet(smoke=True, n_shards=3, queue_limit=7, duration_s=1.0)
+    with pytest.raises(ValueError, match="tenants"):
+        run_fleet(smoke=True, tenants=[])
+
+
 def test_write_trace_requires_telemetry(tmp_path):
     result = run("wordcount", transport="messaging", scale=SCALE)
     with pytest.raises(ValueError, match="telemetry"):

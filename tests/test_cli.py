@@ -185,6 +185,20 @@ def test_fleet_smoke_json_is_deterministic(tmp_path, capsys):
         assert fa.read() == fb.read()
 
 
+@pytest.mark.parametrize("command", ["fleet", "triage"])
+@pytest.mark.parametrize("flag, value", [("--shards", "3"),
+                                         ("--tenants", "4"),
+                                         ("--duration", "2.0")])
+def test_smoke_refuses_sizing_flags(command, flag, value, capsys):
+    """--smoke runs the fixed smoke fleet; a sizing flag beside it used
+    to be dropped without a word."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--smoke", "--seed", "0", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--smoke" in err and flag in err
+
+
 def test_fleet_custom_shape_flags(capsys):
     assert main(["fleet", "--shards", "3", "--tenants", "4",
                  "--duration", "2.0", "--seed", "5",
