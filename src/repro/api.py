@@ -261,7 +261,8 @@ def run(workload: str,
     :func:`repro.chaos.runner.run_chaos_workflow`, e.g. ``requests``,
     ``schedule``, ``policy``); the report lands on
     ``RunResult.chaos_report``.  A chaos run uses the workload's default
-    inputs, so it refuses *params*.
+    inputs, so it refuses *params*; *workload*, *seed* and *scale* go to
+    run() itself, never in the dict.
 
     ``monitor=True`` (or an existing :class:`~repro.obs.FleetMonitor`)
     attaches streaming SLO monitoring to the hub for the duration of the
@@ -284,6 +285,10 @@ def run(workload: str,
     if chaos is not None and params:
         raise ValueError("chaos runs use the workload's default params; "
                          "pass params= or chaos=, not both")
+    clash = sorted({"workload", "seed", "scale"} & set(chaos or ()))
+    if clash:
+        raise ValueError(f"chaos[{clash[0]!r}] is run()'s own argument; "
+                         f"pass {clash[0]}= to run() instead")
 
     configs = workflow_configs(scale)
     if workload not in configs:

@@ -77,9 +77,9 @@ def _critical_path_summary(report: Dict[str, Any]) -> Dict[str, Any]:
 
 def _span_percentiles(root) -> Dict[str, int]:
     """Span-duration percentiles of the measured trace, estimated with
-    the fleet monitor's mergeable sketch — tail-shape leaves the gate can
-    hold, beyond the e2e sum."""
-    from repro.obs.monitor import PercentileSketch
+    the hub's mergeable sketch — tail-shape leaves the gate can hold,
+    beyond the e2e sum."""
+    from repro.obs.telemetry import PercentileSketch
 
     sketch = PercentileSketch()
     for node in root.walk():

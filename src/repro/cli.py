@@ -161,8 +161,8 @@ def _monitor(args) -> int:
     return 0
 
 
-#: ``--shards`` / ``--tenants`` / ``--duration`` when not given (the
-#: flags default to None so ``--smoke`` can refuse an explicit one)
+#: ``--shards`` / ``--tenants`` / ``--duration`` when not given (they
+#: default to None so a command that does not read one can refuse it)
 _FLEET_SHARDS = 4
 _FLEET_TENANTS = 8
 _FLEET_DURATION_S = 10.0
@@ -185,7 +185,7 @@ def _fleet_spec(args):
             else _FLEET_SHARDS,
             duration_s=args.duration if args.duration is not None
             else _FLEET_DURATION_S)
-    spec.scale_up = ScaleUpConfig.from_kind(args.scale_up)
+    spec.scale_up = ScaleUpConfig.from_kind(args.scale_up or "cold")
     for item in args.fail_shard or ():
         sid, _, at_s = item.partition("@")
         if not sid or not at_s:
@@ -376,7 +376,7 @@ def main(argv=None) -> int:
                         default="text",
                         help="bench-check/diff/monitor/fleet: output "
                              "format")
-    parser.add_argument("--smoke", action="store_true",
+    parser.add_argument("--smoke", action="store_true", default=None,
                         help="fleet/triage: the small CI configuration "
                              "(3 tenants, 2 shards, 6 s, ~1e3 "
                              "invocations); refuses --shards, --tenants "
@@ -392,8 +392,9 @@ def main(argv=None) -> int:
                         help="fleet/fork-bench: simulated seconds of "
                              f"traffic (default {_FLEET_DURATION_S:g})")
     parser.add_argument("--scale-up", choices=("cold", "prewarm", "fork"),
-                        default="cold", dest="scale_up",
-                        help="fleet/triage: pod scale-up mechanism")
+                        default=None, dest="scale_up",
+                        help="fleet/triage: pod scale-up mechanism "
+                             "(default cold)")
     parser.add_argument("--fail-shard", action="append", default=None,
                         metavar="SHARD@SECONDS",
                         help="fleet/triage: kill SHARD at the given "
@@ -423,14 +424,17 @@ def main(argv=None) -> int:
     if args.experiment in ("bench-check", "diff") \
             and args.candidate is None:
         parser.error(f"{args.experiment} requires --candidate PATH")
+    unread, why = (), ""
     if args.smoke and args.experiment in ("fleet", "triage"):
-        ignored = [flag for flag, value in (("--shards", args.shards),
-                                            ("--tenants", args.tenants),
-                                            ("--duration", args.duration))
-                   if value is not None]
-        if ignored:
-            parser.error(f"--smoke runs the fixed smoke fleet; drop "
-                         f"{', '.join(ignored)}")
+        unread, why = ("shards", "tenants", "duration"), \
+            "--smoke runs the fixed smoke fleet"
+    elif args.experiment == "fork-bench":
+        unread, why = ("smoke", "shards", "tenants", "scale_up",
+                       "fail_shard"), "fork-bench builds its own fleet"
+    ignored = ["--" + name.replace("_", "-") for name in unread
+               if getattr(args, name) is not None]
+    if ignored:
+        parser.error(f"{why}; drop {', '.join(ignored)}")
     handler = _HANDLERS.get(args.experiment)
     if handler is not None:
         return handler(args)

@@ -35,7 +35,8 @@ from repro.fleet.admission import AdmissionController
 from repro.fleet.shard import AUTOSCALE_INTERVAL_NS, ShardedCoordinator
 from repro.fork.policy import SCALE_UP_KINDS, ScaleUpConfig
 from repro.fleet.traffic import TenantSpec, default_tenants
-from repro.obs.monitor import FleetMonitor, PercentileSketch
+from repro.obs.monitor import FleetMonitor
+from repro.obs.telemetry import PercentileSketch
 from repro.sim.engine import Engine, Timeout
 from repro.sim.rng import SeededRng, make_rng
 
@@ -324,15 +325,13 @@ def run_fleet(spec: FleetSpec,
 
     Pass an existing *hub* / *monitor* to share telemetry with a larger
     harness; by default each run gets a fresh hub and a fresh
-    :class:`FleetMonitor` (returned on ``FleetResult.monitor``).  Either
-    way the hub records saturation timelines, the input of triage.
+    :class:`FleetMonitor` (returned on ``FleetResult.monitor``).
     """
     if not spec.tenants:
         raise ValueError("a fleet needs at least one tenant")
     wall0 = time.perf_counter()
     if hub is None:
         hub = obs.Telemetry()
-    hub.enable_timelines()
     if spec.lineage:
         hub.enable_lineage()
     mon = monitor if monitor is not None else FleetMonitor(slos=spec.slos)

@@ -95,13 +95,6 @@ class PhysicalMemory:
                 if hub is not None:
                     hub.gauge_max(self.owner, "mem", "frames.resident.hw",
                                   used)
-            if hub is not None and hub.timelines is not None:
-                # saturation-timeline feed only (triage residency series);
-                # gated so the allocator hot path stays gauge-free otherwise
-                hub.gauge(self.owner, "mem", "frames.resident", used)
-                if (self.owner, "mem", "frames.capacity") not in hub.gauges:
-                    hub.gauge(self.owner, "mem", "frames.capacity",
-                              self.capacity_frames)
         return out
 
     def live_pfns(self) -> List[int]:

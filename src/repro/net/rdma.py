@@ -188,11 +188,6 @@ class QueuePair:
         hub.count(mac, "net.rdma", "busy.ns", cost_ns)
         hub.count(mac, "net.rdma", f"qp.{self.remote_mac}.reads", n)
         hub.count(mac, "net.rdma", f"qp.{self.remote_mac}.bytes", nbytes)
-        if hub.timelines is not None:
-            # saturation-timeline feed: payload bytes in flight on this
-            # NIC's link for the verb just issued (triage correlates
-            # transport pressure against tail-latency alert windows)
-            hub.gauge(mac, "net.rdma", "bytes.inflight", nbytes)
 
     # -- failure handling --------------------------------------------------
 

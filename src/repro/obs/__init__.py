@@ -1,6 +1,6 @@
 """repro.obs — cross-layer telemetry behind one hub.
 
-Counters, gauges, log-binned histograms, structured events and spans from
+Counters, gauges, quantile sketches, structured events and spans from
 every layer of the simulated stack (engine, memory, RDMA/RPC, kernel,
 platform, chaos), keyed by ``(machine, layer, name)``, at zero simulated
 cost.  Exporters serialize a hub to JSON, CSV, or Chrome trace-event
@@ -21,8 +21,9 @@ Quick use::
 See ``docs/observability.md`` for the metric naming scheme.
 """
 
-from repro.obs.telemetry import (Histogram, MetricKey, Telemetry,
-                                 capture, current, install, uninstall)
+from repro.obs.telemetry import (MetricKey, PercentileSketch,
+                                 SKETCH_RELATIVE_ERROR, Telemetry, capture,
+                                 current, install, uninstall)
 from repro.obs.export import (to_chrome_trace, to_chrome_trace_json,
                               to_csv, to_json, to_prom_text,
                               write_chrome_trace, write_csv, write_json,
@@ -36,13 +37,12 @@ from repro.obs.profile import (PathSegment, SpanNode, attribute,
 from repro.obs.rollup import (TRANSFER_LAYER, rollup_ledger,
                               rollup_record)
 from repro.obs.monitor import (Alert, ExemplarReservoir, FleetMonitor,
-                               MONITOR_LAYER, PercentileSketch,
-                               SKETCH_RELATIVE_ERROR, WindowedCounter,
+                               MONITOR_LAYER, WindowedCounter,
                                WindowedSketch)
 from repro.obs.slo import DEFAULT_SLOS, SLO
 from repro.obs.diff import (diff_snapshot_paths, diff_snapshots,
                             diff_traces, render_diff)
-from repro.obs.timeline import Timeline, TimelineRecorder
+from repro.obs.timeline import Timeline
 from repro.obs.triage import (AlertContext, DEFAULT_SATURATION_SPECS,
                               SaturationSpec, render_triage,
                               triage_alert, triage_report)

@@ -5,7 +5,9 @@ The Chrome export targets the `trace-event format
 understood by Perfetto / ``chrome://tracing``:
 
 * hub spans become complete ``"X"`` events;
-* counter/gauge time series become ``"C"`` counter tracks;
+* counter/gauge time series become ``"C"`` counter tracks, one sample
+  per series bucket at its last update, so each track ends on the
+  metric's final value;
 * structured events become instant ``"i"`` events.
 
 Processes (``pid``) map to machines and threads (``tid``) to layers, with
@@ -46,7 +48,9 @@ def write_json(hub: Telemetry, path: str, monitor=None) -> None:
 
 
 def to_csv(hub: Telemetry) -> str:
-    """Counters, gauges and histogram summaries as flat CSV rows."""
+    """Counters, gauges and histogram summaries as flat CSV rows; a
+    histogram's ``p50``/``p99`` is the upper bound of the covering log2
+    bin."""
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["kind", "machine", "layer", "name", "field", "value"])
@@ -55,8 +59,8 @@ def to_csv(hub: Telemetry) -> str:
             for fname, fvalue in (("count", value.count),
                                   ("sum", value.sum),
                                   ("min", value.min), ("max", value.max),
-                                  ("p50", value.quantile(0.5)),
-                                  ("p99", value.quantile(0.99))):
+                                  ("p50", _log2_quantile(value, 0.5)),
+                                  ("p99", _log2_quantile(value, 0.99))):
                 writer.writerow([kind, machine, layer, name, fname,
                                  fvalue])
         else:
@@ -90,6 +94,24 @@ def _prom_label_value(value: str) -> str:
             .replace('"', r'\"'))
 
 
+def _bin_upper(b: int) -> int:
+    """Largest value of log2 bin *b* (bin 0 is exactly 0, bin ``b`` is
+    ``[2**(b-1), 2**b - 1]``)."""
+    return (1 << b) - 1 if b > 0 else 0
+
+
+def _log2_quantile(sketch, q: float) -> int:
+    """Upper bound of the log2 bin covering rank ``ceil(q * count)``
+    (0 when the sketch is empty)."""
+    target = max(1, int(q * sketch.count + 0.999999))
+    seen = 0
+    for b, n in sketch.bins.items():
+        seen += n
+        if seen >= target:
+            return _bin_upper(b)
+    return 0
+
+
 def to_prom_text(hub: Telemetry) -> str:
     """The hub's counters, gauges and histograms in the Prometheus /
     OpenMetrics text exposition format.
@@ -119,9 +141,9 @@ def to_prom_text(hub: Telemetry) -> str:
                 lines.append(f"{family}{{{labels}}} {value}")
             else:
                 cumulative = 0
-                for b in sorted(value.bins):
-                    cumulative += value.bins[b]
-                    le = value.bin_bounds(b)[1]
+                for b, n in value.bins.items():
+                    cumulative += n
+                    le = _bin_upper(b)
                     lines.append(
                         f'{family}_bucket{{{labels},le="{le}"}} '
                         f"{cumulative}")
@@ -222,7 +244,7 @@ def to_chrome_trace(hub: Telemetry, monitor=None) -> Dict[str, Any]:
     for key in sorted(hub.series):
         machine, layer, name = key
         track = f"{layer}/{name}"
-        for ts, value in hub.series[key].samples:
+        for ts, value in hub.series[key].samples():
             body.append({
                 "ph": "C", "name": track, "cat": layer,
                 "pid": pid_of(machine), "tid": 0,

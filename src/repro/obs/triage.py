@@ -10,9 +10,9 @@ an :class:`AlertContext` over the alert window:
 * **faults** — injected chaos faults and shard deaths inside the window
   (``platform``/``shard.failed`` events, ``chaos``/``fault`` events,
   with the ``shards.failed`` counter series as a cap-proof fallback);
-* **saturation** — which resource timelines
-  (:mod:`repro.obs.timeline`) crossed their saturation threshold inside
-  the window, per :class:`SaturationSpec`;
+* **saturation** — which resource series (``Telemetry.series``, one
+  :class:`~repro.obs.timeline.Timeline` per counter/gauge) crossed their
+  saturation threshold inside the window, per :class:`SaturationSpec`;
 * **lineage** — when the run tracked page provenance
   (:mod:`repro.obs.lineage`), transfer edges active inside the window
   whose moved bytes were partly prefetch waste, ranked by waste
@@ -58,8 +58,8 @@ class SaturationSpec:
     ``mode`` selects how the window statistic is judged:
 
     * ``high_frac`` — saturated when the window **max** reaches
-      ``threshold`` of capacity (``capacity_name``'s timeline peak, or
-      the hub gauge of that name);
+      ``threshold`` of capacity (the peak of ``capacity_name``'s
+      series);
     * ``low_frac`` — starved when the window **min** falls to
       ``threshold`` of capacity or below (token exhaustion);
     * ``peak_frac`` — anomalous when the window max reaches
@@ -78,7 +78,7 @@ class SaturationSpec:
 
 
 #: The built-in saturation checks, one per utilization gauge the fleet /
-#: platform / mem / net layers publish.  Order is presentation only —
+#: platform layers publish.  Order is presentation only —
 #: evidence is re-ranked by severity.
 DEFAULT_SATURATION_SPECS: Tuple[SaturationSpec, ...] = (
     SaturationSpec("fleet.shard", "pods.inflight", "high_frac",
@@ -96,11 +96,6 @@ DEFAULT_SATURATION_SPECS: Tuple[SaturationSpec, ...] = (
                    threshold=0.9, label="coordinator inflight at peak"),
     SaturationSpec("platform", "shards.failed", "delta",
                    label="shard death during window"),
-    SaturationSpec("mem", "frames.resident", "high_frac",
-                   capacity_name="frames.capacity", threshold=0.9,
-                   label="physical memory near capacity"),
-    SaturationSpec("net.rdma", "bytes.inflight", "peak_frac",
-                   threshold=0.9, label="RDMA payload at lifetime peak"),
 )
 
 
@@ -163,7 +158,7 @@ def _fault_scan(hub: Telemetry, t0_ns: int,
     for (machine, layer, name), series in sorted(hub.series.items()):
         if layer != "platform" or name != "shards.failed":
             continue
-        for ts, _value in series.samples:
+        for ts, _value in series.samples():
             if not t0_ns <= ts <= t1_ns:
                 continue
             key = (machine, layer, "shard.failed", ts)
@@ -181,30 +176,15 @@ def _fault_scan(hub: Telemetry, t0_ns: int,
 # -- saturation correlation ----------------------------------------------------
 
 
-def _capacity_of(hub: Telemetry, machine: str,
-                 spec: SaturationSpec) -> Optional[int]:
-    if spec.capacity_name is None:
-        return None
-    recorder = hub.timelines
-    if recorder is not None:
-        timeline = recorder.get(machine, spec.layer, spec.capacity_name)
-        if timeline is not None and timeline.peak is not None:
-            return timeline.peak
-    return hub.gauges.get((machine, spec.layer, spec.capacity_name))
-
-
 def _saturation_scan(hub: Telemetry, t0_ns: int,
                      t1_ns: int) -> List[Dict[str, Any]]:
     """Every (spec, machine) whose series crossed its threshold."""
-    recorder = hub.timelines
-    if recorder is None:
-        return []
     findings: List[Dict[str, Any]] = []
+    series = sorted(hub.series.items())
     for spec in DEFAULT_SATURATION_SPECS:
-        for machine, layer, name in recorder.keys():
+        for (machine, layer, name), timeline in series:
             if layer != spec.layer or name != spec.name:
                 continue
-            timeline = recorder.get(machine, layer, name)
             entry = {"machine": machine, "layer": layer, "name": name,
                      "mode": spec.mode, "label": spec.label,
                      "threshold": spec.threshold}
@@ -226,8 +206,10 @@ def _saturation_scan(hub: Telemetry, t0_ns: int,
                         entry.update(window_max=stats["max"],
                                      lifetime_peak=peak)
                 else:
-                    cap = _capacity_of(hub, machine, spec)
-                    if cap is None or cap <= 0:
+                    capacity = hub.series.get(
+                        (machine, layer, spec.capacity_name))
+                    cap = 0 if capacity is None else capacity.peak
+                    if cap <= 0:
                         continue
                     entry["capacity"] = cap
                     if spec.mode == "high_frac":

@@ -3,99 +3,95 @@
 import pytest
 
 from repro.obs import Telemetry, capture, current, install, uninstall
-from repro.obs.telemetry import MAX_EVENTS, Histogram, _Series
+from repro.obs.export import _bin_upper, _log2_quantile
+from repro.obs.telemetry import MAX_EVENTS, PercentileSketch
+from repro.obs.timeline import BUCKET_NS
 from repro.sim.ledger import Ledger
 
 
+def _histogram(*values):
+    """The sketch ``Telemetry.observe`` records into, fed *values*."""
+    hub = Telemetry()
+    for v in values:
+        hub.observe("m", "l", "h", v)
+    return hub.histograms[("m", "l", "h")]
+
+
 class TestHistogramBinning:
+    """The hub's log2 histogram is the ``bins`` view of its sketch."""
+
     def test_zero_lands_in_bin_zero(self):
-        h = Histogram()
-        h.record(0)
-        assert h.bins == {0: 1}
-        assert Histogram.bin_bounds(0) == (0, 0)
+        assert _histogram(0).bins == {0: 1}
+        assert _bin_upper(0) == 0
 
     def test_one_lands_in_bin_one(self):
-        h = Histogram()
-        h.record(1)
-        assert h.bins == {1: 1}
-        assert Histogram.bin_bounds(1) == (1, 1)
+        assert _histogram(1).bins == {1: 1}
+        assert _bin_upper(1) == 1
 
     def test_two_and_three_share_bin_two(self):
-        h = Histogram()
-        h.record(2)
-        h.record(3)
-        assert h.bins == {2: 2}
-        assert Histogram.bin_bounds(2) == (2, 3)
+        assert _histogram(2, 3).bins == {2: 2}
+        assert _bin_upper(2) == 3
 
     def test_four_starts_bin_three(self):
-        h = Histogram()
-        h.record(4)
-        assert h.bins == {3: 1}
-        assert Histogram.bin_bounds(3) == (4, 7)
+        assert _histogram(4).bins == {3: 1}
+        assert _bin_upper(3) == 7
 
     @pytest.mark.parametrize("k", [4, 10, 20, 40])
     def test_power_of_two_edges(self, k):
-        h = Histogram()
-        h.record((1 << k) - 1)   # top of bin k
-        h.record(1 << k)         # bottom of bin k+1
+        h = _histogram((1 << k) - 1,   # top of bin k
+                       1 << k)         # bottom of bin k+1
         assert h.bins == {k: 1, k + 1: 1}
-        lo, hi = Histogram.bin_bounds(k)
-        assert lo == 1 << (k - 1) and hi == (1 << k) - 1
+        assert _bin_upper(k) == (1 << k) - 1
+
+    def test_bins_project_every_sub_bucket_exactly(self):
+        values = list(range(200)) + [(1 << k) + d for k in range(5, 40)
+                                     for d in (0, 1, 3 << (k - 3))]
+        expected = {}
+        for v in values:
+            expected[v.bit_length()] = expected.get(v.bit_length(), 0) + 1
+        assert _histogram(*values).bins == expected
 
     def test_negative_clamped_to_zero(self):
-        h = Histogram()
-        h.record(-5)
+        h = _histogram(-5)
         assert h.bins == {0: 1}
         assert h.min == 0 and h.max == 0
 
     def test_summary_stats(self):
-        h = Histogram()
-        for v in (1, 2, 3, 100):
-            h.record(v)
+        h = _histogram(1, 2, 3, 100)
         assert h.count == 4
         assert h.sum == 106
         assert h.min == 1 and h.max == 100
         assert h.mean == pytest.approx(26.5)
 
     def test_quantile_upper_bound_of_covering_bin(self):
-        h = Histogram()
-        for _ in range(99):
-            h.record(3)      # bin 2, upper bound 3
-        h.record(1000)       # bin 10, upper bound 1023
-        assert h.quantile(0.5) == 3
-        assert h.quantile(1.0) == 1023
-        assert Histogram().quantile(0.5) == 0
+        h = _histogram(*([3] * 99 + [1000]))  # bins 2 and 10
+        assert _log2_quantile(h, 0.5) == 3
+        assert _log2_quantile(h, 1.0) == 1023
+        assert _log2_quantile(PercentileSketch(), 0.5) == 0
 
     def test_to_dict_round_trips_through_json(self):
         import json
-        h = Histogram()
-        h.record(7)
-        d = json.loads(json.dumps(h.to_dict()))
-        assert d["count"] == 1 and d["bins"] == {"3": 1}
+        hub = Telemetry()
+        hub.observe("m", "l", "h", 7)
+        d = json.loads(json.dumps(hub.snapshot()["histograms"][0]))
+        assert d == {"machine": "m", "layer": "l", "name": "h",
+                     "count": 1, "sum": 7, "min": 7, "max": 7,
+                     "bins": {"3": 1}}
+
+
+class _Clock:
+    now = 0
 
 
 class TestSeries:
-    def test_decimation_is_count_deterministic(self):
-        a, b = _Series(cap=16), _Series(cap=16)
-        for i in range(1000):
-            a.add(i, i * 2)
-            b.add(i, i * 2)
-        assert a.samples == b.samples
-        assert a.stride == b.stride
-        assert len(a.samples) < 16
-
     def test_small_series_keeps_everything(self):
-        s = _Series(cap=16)
+        hub, clock = Telemetry(), _Clock()
+        hub.attach_clock(clock)
         for i in range(10):
-            s.add(i, i)
-        assert s.samples == [(i, i) for i in range(10)]
-
-    def test_stride_doubles_when_full(self):
-        s = _Series(cap=8)
-        for i in range(8):
-            s.add(i, i)
-        assert s.stride == 2
-        assert len(s.samples) == 4
+            clock.now = i * BUCKET_NS
+            hub.count("m", "l", "ops")
+        assert hub.series[("m", "l", "ops")].samples() == \
+            [(i * BUCKET_NS, i + 1) for i in range(10)]
 
 
 class TestTelemetry:

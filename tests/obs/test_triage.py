@@ -33,18 +33,18 @@ def chaos_report(chaos_result):
 
 def test_reservoir_keeps_worst_k():
     lifetime = PercentileSketch()
-    res = ExemplarReservoir(window_ns=1000, slices=2, k=2)
+    res = ExemplarReservoir(window_ns=1000)
     for i, lat in enumerate([10, 50, 30, 90, 20]):
         lifetime.record(lat)
         res.record(i, lat, f"t{i}", lifetime)
     worst = res.worst(5)
-    assert [e["latency_ns"] for e in worst] == [90, 50]
-    assert [e["trace_id"] for e in worst] == ["t3", "t1"]
+    assert [e["latency_ns"] for e in worst] == [90, 50, 30]
+    assert [e["trace_id"] for e in worst] == ["t3", "t1", "t2"]
 
 
 def test_reservoir_median_band_tracks_p50():
     lifetime = PercentileSketch()
-    res = ExemplarReservoir(window_ns=1000, slices=2, k=2)
+    res = ExemplarReservoir(window_ns=1000)
     for i, lat in enumerate([100, 100, 100, 100, 101, 500]):
         lifetime.record(lat)
         res.record(i, lat, f"t{i}", lifetime)
@@ -57,7 +57,7 @@ def test_reservoir_median_band_tracks_p50():
 
 def test_reservoir_failures_and_eviction():
     lifetime = PercentileSketch()
-    res = ExemplarReservoir(window_ns=100, slices=2, k=2)
+    res = ExemplarReservoir(window_ns=100)
     res.note_failure(10, "f0")
     res.record(20, 5, "ok0", lifetime)
     assert [e["trace_id"] for e in res.failed(20)] == ["f0"]

@@ -275,13 +275,6 @@ def allocate_per_page(physical):
         if hub is not None:
             hub.gauge_max(physical.owner, "mem", "frames.resident.hw",
                           physical.peak_frames)
-    hub = telemetry()
-    if hub is not None and hub.timelines is not None:
-        hub.gauge(physical.owner, "mem", "frames.resident",
-                  physical.used_frames)
-        if (physical.owner, "mem", "frames.capacity") not in hub.gauges:
-            hub.gauge(physical.owner, "mem", "frames.capacity",
-                      physical.capacity_frames)
     return frame
 
 

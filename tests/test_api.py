@@ -137,6 +137,28 @@ def test_run_chaos_refuses_params():
             chaos={"requests": 2})
 
 
+@pytest.mark.parametrize("key", ["seed", "scale", "workload"])
+def test_run_chaos_refuses_run_keywords(key):
+    """A chaos dict holding one of run()'s own arguments used to fail
+    with an untyped "multiple values for keyword argument" TypeError."""
+    with pytest.raises(ValueError, match=f"chaos\\['{key}'\\].*{key}="):
+        run("wordcount", scale=0.02, chaos={"requests": 1, key: 3})
+
+
+def test_chaos_run_triage_reads_saturation_from_the_hub_series():
+    """An api.run triage gets the same saturation input as a fleet's:
+    every counter/gauge series on the run's hub."""
+    result = run("wordcount", scale=0.02, monitor=True,
+                 chaos={"requests": 6})
+    report = result.triage()
+    assert report["alerts"]
+    saturation = [s for ctx in report["alerts"] for s in ctx["saturation"]]
+    assert saturation
+    for finding in saturation:
+        key = (finding["machine"], finding["layer"], finding["name"])
+        assert key in result.telemetry.series
+
+
 def test_run_chaos_forwards_n_machines():
     kwargs = dict(transport="rmmap-prefetch", scale=0.02, seed=1)
     top = run("wordcount", n_machines=4, chaos={"requests": 2}, **kwargs)

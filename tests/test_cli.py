@@ -199,6 +199,21 @@ def test_smoke_refuses_sizing_flags(command, flag, value, capsys):
     assert "--smoke" in err and flag in err
 
 
+@pytest.mark.parametrize("flags", [["--smoke"], ["--shards", "0"],
+                                   ["--tenants", "4"],
+                                   ["--scale-up", "fork"],
+                                   ["--fail-shard", "shard-1@1.0"]],
+                         ids=lambda flags: flags[0])
+def test_fork_bench_refuses_fleet_flags(flags, capsys):
+    """fork-bench builds its own fleet and serves it under every scale-up
+    mechanism; the fleet flags used to be dropped without a word."""
+    with pytest.raises(SystemExit) as exc:
+        main(["fork-bench", "--seed", "0", "--duration", "1"] + flags)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "fork-bench" in err and flags[0] in err
+
+
 def test_fleet_custom_shape_flags(capsys):
     assert main(["fleet", "--shards", "3", "--tenants", "4",
                  "--duration", "2.0", "--seed", "5",
