@@ -273,7 +273,9 @@ class PageCursor:
     open, which is why it lives for one call — and the page-table walks
     so skipped are charged in aggregate, never dropped: before the next
     real walk (a remote fault records spans at ``ledger.pending``
-    offsets) and when the block ends.
+    offsets) and when the block ends.  A read a walker takes straight
+    from present frames is :meth:`elided`: still charged and reported,
+    in order.
     """
 
     __slots__ = ("_space", "_lineage", "_vpn", "_data", "_skipped")
@@ -313,6 +315,19 @@ class PageCursor:
         pages[0] = memoryview(pages[0])[off:]
         pages[-1] = memoryview(last)[:(off + length - 1) % PAGE_SIZE + 1]
         return b"".join(pages)
+
+    def elided(self, vaddrs, lengths) -> None:
+        """Account the reads of ``lengths[i]`` bytes at ``vaddrs[i]`` (int
+        arrays, in read order) that a caller took from frames it found
+        present instead of through :meth:`read`: each is still reported
+        to lineage and still charges one walk per page it spans, deferred
+        like a cached page's."""
+        if self._lineage is not None:
+            touched, name = self._lineage.touched, self._space.name
+            for vaddr, length in zip(vaddrs.tolist(), lengths.tolist()):
+                touched(name, vaddr, length)
+        pages = ((vaddrs + lengths - 1) >> PAGE_SHIFT) - (vaddrs >> PAGE_SHIFT)
+        self._skipped += int((pages + 1)[lengths > 0].sum())
 
     def flush(self) -> None:
         """Charge the walks skipped since the last real one."""

@@ -12,8 +12,10 @@ one ``alloc_run`` and writes them with one ``write_batch``; ``load`` (like
 ``gc``, traversal and the serializer) reads through one page cursor.
 Homogeneous primitive lists (the paper's ``list(int)`` microbenchmark reaches
 5,000,000 elements) are laid out as one contiguous stride-24 block and
-bulk-encoded/decoded.  Simulated cost is still charged per object; only host
-CPU time is saved.
+bulk-encoded/decoded, and the leaf children of a container in one dense
+region of present pages are read as one block by the gc mark phase,
+traversal and the serializer.  Simulated cost is still charged per object;
+only host CPU time is saved.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from __future__ import annotations
 import struct
 from array import array
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 import numpy as np
 
@@ -33,10 +36,13 @@ from repro.runtime.objects import (EXACT_TYPES, HEADER_SIZE, HEADER_STRUCT,
                                    LAYOUT, PTR_SIZE, TypeLayout, TypeTag,
                                    layout_at, layout_of, pack_pointers,
                                    pointer_slots)
-from repro.units import PAGE_SIZE
+from repro.units import PAGE_SHIFT, PAGE_SIZE
 
 _PRIM_SLOT = HEADER_SIZE + 8  # header + 8-byte payload, stride of packed runs
 _PACK_MIN = 64                # minimum list length for the packed layout
+#: most bytes a dense region may hold per object to be read in one step
+#: (a large last leaf is not worth copying to save per-leaf work)
+_DENSE_READ_MAX = 512
 #: allocations ``box`` plans before it allocates and writes them; bounds
 #: what one call holds in host memory beside the heap itself
 _WINDOW = 256
@@ -44,6 +50,10 @@ _WINDOW = 256
 _CYCLE_SENTINEL = object()
 #: tag code -> decoder of the leaves a dense region read can decode
 _DENSE_DECODERS = tuple(row.decode if row.dense else None for row in LAYOUT)
+#: tag code (one past the last: an unknown tag) -> may be in a leaf block:
+#: a leaf, but not an ndarray (a walker may refuse to iterate one)
+_BLOCK_LEAF = np.array([row.pointers is None and row.tag is not TypeTag.NDARRAY
+                        for row in LAYOUT] + [False])
 
 
 def is_prim_run(ptrs: List[int]) -> bool:
@@ -82,19 +92,97 @@ def read_packed_run(cursor: PageCursor, ptrs: List[int]
     return row, words[:, 2]
 
 
-def read_dense_span(cursor: PageCursor, ptrs: List[int]
-                    ) -> Optional[Tuple[int, int]]:
-    """``(start, nbytes)`` of the region holding *ptrs*' objects when they
-    sit in one dense allocation region (column cells and dict entries are
-    allocated back to back); else ``None``."""
+def dense_region(ptrs: List[int]) -> Optional[Tuple[int, int]]:
+    """``(lowest, highest)`` of *ptrs* when they are at least ``_PACK_MIN``
+    objects in one dense allocation region (column cells and dict entries
+    are allocated back to back); else ``None``.  Reads nothing."""
     n = len(ptrs)
     if n < _PACK_MIN:
         return None
     lo, hi = min(ptrs), max(ptrs)
-    if hi - lo > 256 * n:
+    return (lo, hi) if hi - lo <= 256 * n else None
+
+
+def read_dense_span(cursor: PageCursor, ptrs: List[int]
+                    ) -> Optional[Tuple[int, int]]:
+    """``(start, nbytes)`` of the :func:`dense_region` holding *ptrs*'
+    objects (its last object's header read through *cursor*); else
+    ``None``."""
+    region = dense_region(ptrs)
+    if region is None:
         return None
+    lo, hi = region
     _row, size_hi = layout_at(cursor.read(hi, HEADER_SIZE))
     return lo, hi + HEADER_SIZE + size_hi - lo
+
+
+class LeafBlock(NamedTuple):
+    """A container's leaf children read from their frames in one step: per
+    child, in pointer order, its address, tag code and payload size, and
+    the bytes of the region they fill from the first child on."""
+
+    addrs: np.ndarray
+    tags: np.ndarray
+    sizes: np.ndarray
+    raw: memoryview
+
+    def elide_headers(self, cursor: PageCursor, times: int) -> None:
+        """Account *times* header reads of each leaf, the last leaf first:
+        the order a stack walk pops them in."""
+        addrs = np.repeat(self.addrs[::-1], times)
+        cursor.elided(addrs, np.full(len(addrs), HEADER_SIZE))
+
+
+def read_leaf_block(space: AddressSpace, ptrs: List[int]
+                    ) -> Optional[LeafBlock]:
+    """*ptrs*' objects read straight from the frames, when they are leaves
+    at strictly ascending addresses in one :func:`dense_region` of at most
+    ``_DENSE_READ_MAX`` bytes a leaf and every page of it is present; else
+    ``None``.  Charges and reports nothing: the caller hands the reads the
+    block stands in for to :meth:`PageCursor.elided` where it would have
+    made them, so simulated cost stays per object while the host works
+    per block."""
+    region = dense_region(ptrs)
+    if region is None:
+        return None
+    addrs = np.array(ptrs, np.int64)
+    if not bool(np.all(addrs[1:] > addrs[:-1])):
+        return None
+    lo, hi = region
+    head = _present_bytes(space, hi, HEADER_SIZE)
+    if head is None:
+        return None
+    tag, _flags, size = HEADER_STRUCT.unpack(head)
+    nbytes = hi + HEADER_SIZE + size - lo
+    if not _BLOCK_LEAF[min(tag, len(LAYOUT))] \
+            or nbytes > _DENSE_READ_MAX * len(ptrs):
+        return None
+    raw = _present_bytes(space, lo, nbytes)
+    if raw is None:
+        return None
+    offs = addrs - lo
+    tags = np.ndarray((len(raw) - 3,), "<u4", raw, 0, (1,))[offs]
+    sizes = np.ndarray((len(raw) - 7,), "<u8", raw, 0,
+                       (1,))[offs + 8].astype(np.int64)
+    if not (_BLOCK_LEAF[np.minimum(tags, len(LAYOUT))].all()
+            and bool(np.all(offs[:-1] + HEADER_SIZE + sizes[:-1]
+                            <= offs[1:]))):
+        return None
+    return LeafBlock(addrs, tags, sizes, raw)
+
+
+def _present_bytes(space: AddressSpace, vaddr: int, length: int
+                   ) -> Optional[memoryview]:
+    """The *length* bytes at *vaddr* when every page they span is present,
+    taken from the frames (nothing charged, nothing reported); else
+    ``None``."""
+    ptes = list(map(space.page_table.lookup, range(
+        vaddr >> PAGE_SHIFT, ((vaddr + length - 1) >> PAGE_SHIFT) + 1)))
+    if None in ptes:
+        return None
+    frame, off = space.physical.frame, vaddr & (PAGE_SIZE - 1)
+    return memoryview(b"".join([frame(pte.pfn).data
+                                for pte in ptes]))[off:off + length]
 
 
 class _BoxRun:
@@ -328,7 +416,7 @@ class ManagedHeap:
         behaviour).  ``None`` when a child is a container or the region
         is sparse."""
         span = read_dense_span(cursor, ptrs)
-        if span is None or span[1] > 512 * len(ptrs):
+        if span is None or span[1] > _DENSE_READ_MAX * len(ptrs):
             return None
         lo, total = span
         raw = cursor.read(lo, total)
@@ -343,14 +431,6 @@ class ManagedHeap:
             off += HEADER_SIZE
             out.append(decode(raw[off:off + size]))
         return out
-
-    def packed_run(self, ptrs: List[int]
-                   ) -> Optional[Tuple[TypeTag, np.ndarray]]:
-        """``(tag, u64 payload column)`` when *ptrs* is a stride-24
-        homogeneous INT/FLOAT run, read in bulk; else ``None``."""
-        with PageCursor(self.space) as cursor:
-            run = read_packed_run(cursor, ptrs)
-        return None if run is None else (run[0].tag, run[1])
 
     # ------------------------------------------------------------- children
 
@@ -393,7 +473,17 @@ class ManagedHeap:
                 if addr in seen:
                     continue
                 seen.add(addr)
-                for child in self.children_at(cursor, addr):
+                children = self.children_at(cursor, addr)
+                block = (read_leaf_block(self.space, children)
+                         if len(children) >= _PACK_MIN else None)
+                if block is not None and seen.isdisjoint(children) and (
+                        not local or self.owns(children[0])
+                        and self.owns(children[-1])):
+                    # the leaves the loop would pop next, a header read each
+                    block.elide_headers(cursor, 1)
+                    seen.update(children)
+                    continue
+                for child in children:
                     if child not in seen and (not local or self.owns(child)):
                         stack.append(child)
         return seen

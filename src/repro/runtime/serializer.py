@@ -18,7 +18,12 @@ Wire format (little-endian)::
              | PACKED u32 elem_tag, u64 count, 8*count raw values
 
 Packed records encode the heap's contiguous primitive runs in bulk; the
-per-element cost is still charged, only host CPU time is saved.
+per-element cost is still charged, only host CPU time is saved.  In the
+same way simulated cost is charged per object and host work is done per
+block: a container's leaf children that sit in one dense region of
+present pages are queued as one entry, and when it is dequeued their
+header and payload reads are charged and reported in per-object order and
+their records emitted as one ``bytes``.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ import numpy as np
 from repro.errors import SerializationError
 from repro.mem.address_space import PageCursor
 from repro.obs.telemetry import current as _telemetry
-from repro.runtime.heap import _PRIM_SLOT, ManagedHeap, read_packed_run
+from repro.runtime.heap import (_PRIM_SLOT, LeafBlock, ManagedHeap,
+                                read_leaf_block, read_packed_run)
 from repro.runtime.objects import (HEADER_SIZE, LAYOUT, PTR_SIZE,
                                    TypeLayout, layout_at, pack_pointers,
                                    pointer_slots)
@@ -78,11 +84,12 @@ class Serializer:
     # ------------------------------------------------------------ serialize
 
     def serialize(self, heap: ManagedHeap, root: int) -> SerializedState:
-        """Flatten the graph rooted at *root* into a byte stream."""
-        # Queue entries are an object's address or a packed record's
-        # finished chunks; they are appended in index-assignment order, so
-        # draining FIFO emits records in exactly index order (what
-        # deserialize assumes).
+        """Flatten the graph rooted at *root* into a byte stream, charging
+        simulated cost per object and doing host work per leaf block."""
+        # Queue entries are an object's address, a packed record's
+        # finished chunks or a LeafBlock; they are appended in
+        # index-assignment order, so draining FIFO emits records in exactly
+        # index order (what deserialize assumes).
         index: Dict[int, int] = {root: 0}
         queue: list = [root]
         chunks: List[bytes] = []
@@ -94,11 +101,14 @@ class Serializer:
                 if type(addr) is tuple:
                     chunks.extend(addr)
                     continue
+                if type(addr) is LeafBlock:
+                    chunks.append(_leaf_records(cursor, addr))
+                    continue
                 row, size = layout_at(cursor.read(addr, HEADER_SIZE))
                 payload = cursor.read(addr + HEADER_SIZE, size)
                 if row.pointers is not None:
                     payload = payload[:row.pointers] + self._child_indices(
-                        cursor, row, payload, index, queue)
+                        heap.space, cursor, row, payload, index, queue)
                 chunks.append(_REC_HEADER.pack(_REC_OBJ, row.tag, size))
                 chunks.append(payload)
 
@@ -121,13 +131,16 @@ class Serializer:
                    per_object + copy, objects=objects, bytes=nbytes)
 
     @staticmethod
-    def _child_indices(cursor: PageCursor, row: TypeLayout, payload: bytes,
-                       index: Dict[int, int], queue: list) -> bytes:
+    def _child_indices(space, cursor: PageCursor, row: TypeLayout,
+                       payload: bytes, index: Dict[int, int], queue: list
+                       ) -> bytes:
         """The pointer slots of a container payload as stream indices.
 
         A sequence's contiguous primitive children become one queued
         packed record (unless any element was already reached through
-        another reference, where packing would break indexing)."""
+        another reference, where packing would break indexing); leaf
+        children new to the stream that :func:`read_leaf_block` reads in
+        one step become one queued :class:`LeafBlock`."""
         ptrs = pointer_slots(row, payload)
         run = read_packed_run(cursor, ptrs) if row.sequence else None
         if run is not None and not any(p in index for p in ptrs):
@@ -136,6 +149,13 @@ class Serializer:
             index.update(zip(ptrs, indices))
             queue.append((_REC_HEADER.pack(_REC_PACKED, elem.tag, len(ptrs)),
                           values.tobytes()))
+            return pack_pointers(indices)
+        block = read_leaf_block(space, ptrs) if run is None else None
+        if block is not None and index.keys().isdisjoint(ptrs):
+            # ascending, so distinct: the records the queue would hold
+            indices = range(len(index), len(index) + len(ptrs))
+            index.update(zip(ptrs, indices))
+            queue.append(block)
             return pack_pointers(indices)
         indices = []
         for ptr in ptrs:
@@ -177,6 +197,27 @@ class Serializer:
         self._charge(heap, "deserialize",
                      heap.cost.deserialize_per_object_ns, rec.total, len(data))
         return bases[0]
+
+
+def _leaf_records(cursor: PageCursor, block: LeafBlock) -> bytes:
+    """The OBJ records of *block*'s leaves as one ``bytes``, with the
+    header and payload read of each accounted on *cursor*, first leaf
+    first — where dequeuing the leaves one by one would have made them.
+
+    A record is its object's bytes from header byte 3 on (the tag's high
+    byte, 0, is the record kind) with the flags word replaced by the tag;
+    the leaves ascend, so the records are the kept bytes in order."""
+    addrs, sizes, n = block.addrs, block.sizes, len(block.addrs)
+    cursor.elided(np.column_stack((addrs, addrs + HEADER_SIZE)).ravel(),
+                  np.column_stack((np.full(n, HEADER_SIZE), sizes)).ravel())
+    image = np.frombuffer(bytearray(block.raw), np.uint8)
+    offs = addrs - addrs[0]
+    np.ndarray((len(image) - 3,), "<u4", image, 0, (1,))[offs + 4] = \
+        block.tags
+    edges = np.zeros(len(image) + 1, np.int8)
+    edges[offs + 3] = 1
+    edges[offs + HEADER_SIZE + sizes] = -1
+    return image[np.cumsum(edges, out=edges)[:-1].view(bool)].tobytes()
 
 
 #: a scanned stream: per record its payload's offset, tag, length (a

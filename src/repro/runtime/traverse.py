@@ -11,18 +11,27 @@ like ``list(int)``, ``list(str)`` and ``dict`` (Fig 11a).  Typed containers
 expose internal block iterators instead: ndarray buffers, image pixels and
 dataframe column blocks are covered at per-block cost (the paper's
 "12 LoC wrapper" around numpy's internal iterator).
+
+Simulated cost is charged per object, host work is done per block: a
+container's leaf children that sit in one dense region of present pages
+are read from their frames in one step
+(:func:`~repro.runtime.heap.read_leaf_block`), and every header read the
+per-object walk would have made is still charged one walk per page and
+reported to lineage, in the order it would have been made.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.errors import SerializationError
 from repro.mem.address_space import PageCursor
-from repro.runtime.heap import (_PRIM_SLOT, ManagedHeap, is_prim_run,
-                                read_dense_span)
-from repro.runtime.objects import HEADER_SIZE, TypeTag, layout_at
-from repro.units import PAGE_SIZE
+from repro.runtime.heap import (_PACK_MIN, _PRIM_SLOT, ManagedHeap,
+                                is_prim_run, read_dense_span, read_leaf_block)
+from repro.runtime.objects import HEADER_SIZE, LAYOUT, TypeTag, layout_at
+from repro.units import PAGE_SHIFT, PAGE_SIZE
 
 
 class TraversalResult:
@@ -121,8 +130,34 @@ class ObjectTraverser:
             if row.tag is TypeTag.DATAFRAME:
                 # alternating (name, column list) pointers
                 stack.extend((ptr, i % 2 == 1) for i, ptr in enumerate(ptrs))
-            elif ptrs:
+                continue
+            block = (read_leaf_block(heap.space, ptrs)
+                     if len(ptrs) >= _PACK_MIN else None)
+            if block is None or not seen.isdisjoint(ptrs) or (
+                    self.max_objects is not None
+                    and steps + len(ptrs) > self.max_objects):
                 stack.extend((ptr, False) for ptr in ptrs)
+                continue
+            # the leaves the loop would pop next, last one first: two
+            # header reads, one step and one object's cost each
+            block.elide_headers(cursor, 2)
+            seen.update(ptrs)
+            steps += len(ptrs)
+            charge += len(ptrs) * cost.traverse_per_object_ns
+            # leaf i spans pages first[i] .. first[i] + spans[i] - 1
+            nbytes = block.sizes + HEADER_SIZE
+            first = block.addrs >> PAGE_SHIFT
+            spans = ((block.addrs + nbytes - 1) >> PAGE_SHIFT) - first + 1
+            nth = np.arange(spans.sum()) - np.repeat(spans.cumsum() - spans,
+                                                     spans)
+            pages.update((np.unique(np.repeat(first, spans) + nth)
+                          << PAGE_SHIFT).tolist())
+            count = np.bincount(block.tags)
+            nbytes = np.bincount(block.tags, nbytes)
+            for tag in dict.fromkeys(block.tags[::-1].tolist()):
+                slot = objects.setdefault(LAYOUT[tag].name, [0, 0])
+                slot[0] += int(count[tag])
+                slot[1] += int(nbytes[tag])
         return charge, TraversalResult(sorted(pages), steps, objects)
 
 

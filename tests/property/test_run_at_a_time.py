@@ -15,6 +15,7 @@ Tier-1 runs each property on a small budget; CI runs this file again with
 
 import gc as host_gc
 import inspect
+import struct
 from itertools import cycle, islice
 
 import numpy as np
@@ -27,11 +28,12 @@ from repro.bench.microbench import make_pair
 from repro.errors import OutOfMemory, SerializationError
 from repro.mem import (PAGE_SIZE, AddressRange, AddressSpace, AnonymousVMA,
                        HeapAllocator, PhysicalMemory)
+from repro.mem.address_space import PageCursor
 from repro.obs.telemetry import Telemetry, capture
 from repro.runtime.heap import _WINDOW, ManagedHeap
 from repro.runtime.objects import (DTYPE_CODES, HEADER_SIZE, LAYOUT,
                                    TypeTag)
-from repro.runtime.serializer import Serializer
+from repro.runtime.serializer import SerializedState, Serializer
 from repro.runtime.traverse import ObjectTraverser
 from repro.runtime.values import (DataFrameValue, ImageValue, MLModelValue,
                                   NdArrayValue, TreeValue)
@@ -179,6 +181,9 @@ READERS = {
     "traverse": _traverse,
     "traverse-capped": lambda heap, root, reference:
         _traverse(heap, root, reference, max_objects=3),
+    # inside a block of 200 leaves: the cap is crossed by its 100th
+    "traverse-capped-in-block": lambda heap, root, reference:
+        _traverse(heap, root, reference, max_objects=100),
     "traverse-no-numpy": _traverse_without_numpy_iterator,
     "serialize": _serialize,
     "gc": _gc,
@@ -334,6 +339,11 @@ EDGES = {
     "windows-of-dict": dict(zip(str_run(2 * _WINDOW, 0),
                                 float_run(2 * _WINDOW, 0))),
     "page-sized-cells": ["d" * PAGE_SIZE, 1, "e" * PAGE_SIZE, [2]],
+    # leaf blocks: one the traversal cap cuts, and one a container child
+    # sends back to the per-object loop
+    "leaves-200": str_run(200, 0),
+    "mixed-with-a-container": (lambda run: run[:35] + [[1, 2]] + run[35:])(
+        mixed_run(70, 0)),
 }
 
 
@@ -557,6 +567,156 @@ def test_a_failing_read_still_charges_the_walks_it_skipped(reader):
     assert seen[1] == seen[0]
 
 
+# --- leaf blocks: a container's leaf children read in one step -----------------------
+
+def straddling_header(producer):
+    """70 strings on a heap whose range starts 8 bytes into a page: the
+    list takes 592 bytes and the first string fills the page up to its
+    last 8 bytes, so the second string's header spans two pages."""
+    heap = producer.heap
+    producer.heap = heap = type(heap)(
+        heap.space, rng=AddressRange(heap.range.start + 8, heap.range.end),
+        name=heap.name)
+    root = heap.box(["x" * (PAGE_SIZE - 8 - 8 - 592 - HEADER_SIZE)]
+                    + str_run(69, 0))
+    assert heap.children(root)[1] % PAGE_SIZE == PAGE_SIZE - 8
+    return root
+
+
+_RECORD = struct.Struct("<BIQ")  # the stream's record header
+
+
+def shared_leaf(producer):
+    """A list of 70 pointers to 69 strings over three pages, the sixth
+    listed twice, rebuilt from a hand-built stream (``box`` never shares
+    a leaf)."""
+    kids = list(range(1, 70)) + [6]
+    payload = struct.pack(f"<{len(kids) + 1}Q", len(kids), *kids)
+    records = [_RECORD.pack(0, TypeTag.LIST, len(payload)) + payload]
+    records += [_RECORD.pack(0, TypeTag.STR, len(word)) + word.encode()
+                for word in (w * 40 for w in str_run(69, 0))]
+    state = SerializedState(struct.pack("<Q", 70) + b"".join(records), 70)
+    root = Serializer().deserialize(producer.heap, state)
+    kids = producer.heap.children(root)
+    assert kids[-1] == kids[5]
+    return root
+
+
+LEAF_BLOCKS = {
+    "straddling-header": straddling_header,
+    "shared-leaf": shared_leaf,
+    "leaves-200": lambda producer: producer.heap.box(EDGES["leaves-200"]),
+    "mixed-with-a-container": lambda producer: producer.heap.box(
+        EDGES["mixed-with-a-container"]),
+    # serialize dequeues the block after the string, whose pages fault
+    "queued-behind-a-fault": lambda producer: producer.heap.box(
+        [str_run(100, 0), "y" * 9000]),
+}
+
+
+def fault_headers(space, kids, faulted: str) -> None:
+    """Fault in none, every other or all of the pages holding a header of
+    *kids*."""
+    pages = sorted({addr & -PAGE_SIZE for addr in kids}
+                   | {(addr + HEADER_SIZE - 1) & -PAGE_SIZE for addr in kids})
+    for page in pages[::{"half": 2, "all": 1}[faulted]] if faulted else ():
+        space.read(page, 1)
+
+
+#: where a reader runs: ``(through an rmap'd RemoteVMA, header pages
+#: faulted in first)``; a local heap has every page present
+WHERE = {"local": (False, None), "remote": (True, None),
+         "remote-half-faulted": (True, "half"),
+         "remote-all-faulted": (True, "all")}
+
+
+@pytest.mark.parametrize("where", sorted(WHERE))
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("block", sorted(LEAF_BLOCKS))
+def test_readers_equal_the_per_object_readers_on_leaf_blocks(block, reader,
+                                                             where):
+    """Values, page lists, streams, counts, ledger and lineage calls where
+    a block applies and where a child sends the walk back to the
+    per-object loop — locally, and through an rmap'd ``RemoteVMA`` with
+    none, half or all of the block's header pages faulted in first."""
+    remote, faulted = WHERE[where]
+    seen = []
+    for reference in (True, False):
+        producer, consumer = endpoints(reference)
+        root = LEAF_BLOCKS[block](producer)
+        kids = producer.heap.children(root)
+        producer.heap.box(["garbage", 1.5, [2]])
+        side = producer
+        if remote:
+            meta = producer.kernel.register_mem(producer.space, "diff", 1)
+            consumer.kernel.rmap(consumer.space, meta.mac_addr, "diff", 1)
+            side = consumer
+        fault_headers(side.space, kids, faulted)
+        outcome = observed(
+            lambda: READERS[reader](side.heap, root, reference))
+        seen.append((outcome, everything(side)))
+    assert seen[1] == seen[0]
+
+
+@pytest.mark.parametrize("faulted", [None, "half", "all"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("block", sorted(LEAF_BLOCKS))
+def test_faults_see_the_ledger_the_per_object_reads_showed_them_on_leaf_blocks(
+        block, reader, faulted):
+    """``ledger.pending`` at every fault, page by page (a spy VMA fills the
+    heap's image on demand), with none, half or all of the block's
+    header pages faulted in first."""
+    producer, _consumer = endpoints(reference=False)
+    root = LEAF_BLOCKS[block](producer)
+    kids = producer.heap.children(root)
+    heap_range = producer.heap.range
+    start = heap_range.start & -PAGE_SIZE
+    rng = AddressRange(start, heap_range.end)
+    image = producer.space.read(start,
+                                producer.heap.allocator.high_water - start)
+    seen = []
+    for reference in (True, False):
+        space = AddressSpace(PhysicalMemory(), name="spied")
+        spy = space.map_vma(SpyVMA(rng, image))
+        heap = (PerObjectHeap if reference else ManagedHeap)(space,
+                                                             rng=heap_range)
+        fault_headers(space, kids, faulted)
+        outcome = observed(lambda: READERS[reader](heap, root, reference))
+        seen.append((outcome, spy.pending, space_state(space)))
+    assert seen[0][1] or faulted == "all"
+    assert seen[1] == seen[0]
+
+
+def test_leaf_lists_are_walked_in_a_number_of_reads_their_length_does_not_set(
+        monkeypatch):
+    """A host-cost guard that needs no clock: ``traverse``, ``serialize``
+    and ``count_reachable`` of a local list of strings make as many
+    cursor reads for 8,192 strings as for 4,096, so a walk that falls
+    back to per-leaf reads fails here and not only in the benchmark."""
+    reads = []
+    read = PageCursor.read
+
+    def counted(cursor, vaddr, length):
+        reads.append(vaddr)
+        return read(cursor, vaddr, length)
+
+    monkeypatch.setattr(PageCursor, "read", counted)
+    made = {}
+    for n in (4096, 8192):
+        producer, _consumer = endpoints(reference=False)
+        heap = producer.heap
+        root = heap.box(str_run(n, 0))
+        for name, walk in (
+                ("traverse", lambda: ObjectTraverser(heap).traverse(root)),
+                ("serialize", lambda: Serializer().serialize(heap, root)),
+                ("count_reachable", lambda: heap.count_reachable(root))):
+            reads.clear()
+            walk()
+            made[name, n] = len(reads)
+    for name in ("traverse", "serialize", "count_reachable"):
+        assert made[name, 8192] == made[name, 4096], made
+
+
 # --- the box memo holds the value it is keyed on --------------------------------------
 
 class CollectingColumns(dict):
@@ -639,7 +799,6 @@ def test_the_layout_table_has_one_row_per_tag():
     (ManagedHeap, "header_of", ["self", "addr"]),
     (ManagedHeap, "object_span", ["self", "addr"]),
     (ManagedHeap, "children", ["self", "addr"]),
-    (ManagedHeap, "packed_run", ["self", "ptrs"]),
     (Serializer, "serialize", ["self", "heap", "root"]),
     (Serializer, "deserialize", ["self", "heap", "state"]),
     (ObjectTraverser, "traverse", ["self", "root"]),
